@@ -481,6 +481,10 @@ pub mod names {
     /// Counter: rejected hot-swap candidates — the canary probe failed and
     /// the server kept serving the previous model.
     pub const SERVE_ROLLBACK: &str = "serve.rollback";
+    /// Histogram: seconds spent building a checkpoint payload (the
+    /// trainer's state encode), recorded per save beside
+    /// `resilience.checkpoint_seconds`, which times only the sink write.
+    pub const RESILIENCE_CHECKPOINT_ENCODE_SECONDS: &str = "resilience.checkpoint_encode_seconds";
     /// Counter: `latest_good` checkpoint reads that *errored* (not "no
     /// checkpoint found" — a real IO/listing failure). These used to be
     /// silently swallowed on the engine's divergence-rollback path.

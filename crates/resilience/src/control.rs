@@ -150,6 +150,9 @@ impl<'a> TrainControl<'a> {
     /// `payload` is only invoked when a checkpoint is actually due. A sink
     /// failure is recorded (see [`TrainControl::sink_failures`]) but does
     /// not abort training — losing one snapshot only widens the resume gap.
+    /// With recording on, building the payload is timed under
+    /// `resilience.checkpoint_encode_seconds` and the sink write under
+    /// `resilience.checkpoint_seconds`.
     pub fn checkpoint<F>(&mut self, iterations_done: u64, payload: F)
     where
         F: FnOnce() -> Vec<u8>,
@@ -159,7 +162,15 @@ impl<'a> TrainControl<'a> {
             return;
         }
         let rec = hlm_obs::global();
-        let ckpt = Checkpoint::new(self.kind, iterations_done, payload());
+        let encode_t0 = rec.is_enabled().then(std::time::Instant::now);
+        let payload = payload();
+        if let Some(t0) = encode_t0 {
+            rec.observe(
+                hlm_obs::names::RESILIENCE_CHECKPOINT_ENCODE_SECONDS,
+                t0.elapsed().as_secs_f64(),
+            );
+        }
+        let ckpt = Checkpoint::new(self.kind, iterations_done, payload);
         let write_t0 = rec.is_enabled().then(std::time::Instant::now);
         let saved = sink.save(&ckpt);
         if let Some(t0) = write_t0 {
@@ -258,6 +269,42 @@ mod tests {
         assert_eq!(ctrl.saves(), 3);
         assert_eq!(store.latest_good("t").unwrap().unwrap().iteration, 6);
         assert!(store.load(5).is_err(), "odd iterations are not persisted");
+    }
+
+    #[test]
+    fn payload_encode_and_sink_write_are_timed_apart() {
+        use hlm_obs::names::RESILIENCE_CHECKPOINT_ENCODE_SECONDS as ENCODE;
+        let hist = |name: &str| {
+            let snap = hlm_obs::global().snapshot();
+            let found = snap.histograms.iter().find(|(n, _)| n == name);
+            found.map_or((0, 0.0), |(_, h)| (h.count, h.sum))
+        };
+        hlm_obs::install(hlm_obs::Recorder::enabled());
+        let store = CheckpointStore::new(Box::new(MemIo::new()));
+        let mut ctrl = TrainControl::new("t", &store).with_checkpoint_every(2);
+        for done in 1..=4u64 {
+            ctrl.checkpoint(done, || {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                vec![done as u8]
+            });
+        }
+        let (encodes, encode_s) = hist(ENCODE);
+        let (writes, write_s) = hist("resilience.checkpoint_seconds");
+        hlm_obs::install(hlm_obs::Recorder::noop());
+        // Other tests in this binary may checkpoint concurrently, so counts
+        // are lower bounds; only this test's payloads sleep.
+        assert!(
+            encodes >= 2 && writes >= 2,
+            "{encodes} encodes, {writes} writes"
+        );
+        assert!(
+            encode_s >= 0.06,
+            "encode time {encode_s}s misses the payload closure"
+        );
+        assert!(
+            write_s < encode_s,
+            "sink write {write_s}s absorbed the encode"
+        );
     }
 
     #[test]

@@ -19,9 +19,11 @@ use hlm_engine::{
     fit_lda_resilient, Engine, EngineError, LdaEstimator, ModelKind, ServeOptions, TrainPlan,
     TrainedModel,
 };
-use hlm_lda::{LdaConfig, LdaModel};
-use hlm_resilience::{FaultyStream, NetFault, NetFaultPlan};
-use hlm_serve::{bundle_from_model, ModelBundle, Server, ServerConfig, ServerHandle};
+use hlm_lda::{LdaConfig, LdaModel, GIBBS_CHECKPOINT_KIND};
+use hlm_resilience::{Checkpoint, CheckpointStore, FaultyStream, MemIo, NetFault, NetFaultPlan};
+use hlm_serve::{
+    bundle_from_checkpoint, bundle_from_model, ModelBundle, Server, ServerConfig, ServerHandle,
+};
 
 use hlm_core::DistanceMetric;
 
@@ -585,4 +587,39 @@ fn graceful_drain_answers_admitted_work_then_stops() {
         TcpStream::connect_timeout(&addr, Duration::from_millis(300)).is_err(),
         "listener should be closed after drain"
     );
+}
+
+/// An `lda-gibbs` payload in the all-JSON format used before the resident
+/// payload (spill record plus JSON global state) replaced it.
+const OLD_GIBBS_PAYLOAD: &str = r#"{"iters_done":3,"alpha":0.5,"tok_z":[0,0,1],"n_dk":{"rows":2,"cols":2,"data":[2.0,0.0,0.0,1.0]},"n_kw":{"rows":2,"cols":3,"data":[1.0,1.0,0.0,0.0,0.0,1.0]},"n_k":[2.0,1.0],"phi_acc":{"rows":2,"cols":3,"data":[1.3244147157190636,0.5551839464882944,0.12040133779264214,0.12040133779264214,0.5551839464882944,1.3244147157190636]},"n_samples":2,"rng":[17313963233546218207,6372522376728454613,16526457247692414922,13221988417299793669]}"#;
+
+#[test]
+fn warm_start_from_an_old_format_checkpoint_reports_the_format_change() {
+    let engine = engine();
+    let config = LdaConfig {
+        n_topics: 3,
+        vocab_size: engine.corpus().vocab().len(),
+        ..Default::default()
+    };
+    let store = CheckpointStore::new(Box::new(MemIo::new()));
+    let old = Checkpoint::new(
+        GIBBS_CHECKPOINT_KIND,
+        3,
+        OLD_GIBBS_PAYLOAD.as_bytes().to_vec(),
+    );
+    store.save(&old).unwrap();
+    let err = bundle_from_checkpoint(
+        &engine,
+        &config,
+        &store,
+        DistanceMetric::Cosine,
+        ServeOptions::default(),
+    )
+    .err()
+    .expect("an old-format checkpoint must not warm-start");
+    assert!(
+        err.contains("checkpoint does not match this trainer"),
+        "{err}"
+    );
+    assert!(err.contains("old all-JSON format"), "{err}");
 }
