@@ -387,4 +387,55 @@ mod tests {
         assert_eq!(read_request(&mut r).unwrap().path, "/b");
         assert!(matches!(read_request(&mut r), Err(HttpError::Eof)));
     }
+
+    use proptest::prelude::*;
+
+    /// A request using every part of the grammar: query, headers and body.
+    const VALID: &[u8] = b"POST /v1/recommend?history=0,2&top=3 HTTP/1.1\r\n\
+        Host: x\r\nContent-Length: 5\r\nConnection: close\r\n\r\nhello";
+
+    /// Parse `bytes` from a reader refilled `capacity` bytes at a time, so
+    /// lines and the body also split across refills. Reaching the return
+    /// means no panic; the result is `Ok` or a typed [`HttpError`], and a
+    /// parsed body must fit [`MAX_BODY`].
+    fn parse_bounded(bytes: &[u8], capacity: usize) -> Result<Request, HttpError> {
+        let parsed = read_request(&mut BufReader::with_capacity(capacity, bytes));
+        if let Ok(req) = &parsed {
+            assert!(req.body.len() <= MAX_BODY, "{} byte body", req.body.len());
+        }
+        parsed
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_parser(
+            capacity in 1usize..64,
+            bytes in prop::collection::vec(0u8..=255, 0..2048),
+        ) {
+            let _ = parse_bounded(&bytes, capacity);
+        }
+
+        #[test]
+        fn every_truncation_of_a_valid_request_is_an_error(capacity in 1usize..64) {
+            prop_assert!(parse_bounded(VALID, capacity).is_ok());
+            for len in 0..VALID.len() {
+                prop_assert!(
+                    parse_bounded(&VALID[..len], capacity).is_err(),
+                    "truncation to {len} of {} bytes parsed",
+                    VALID.len()
+                );
+            }
+        }
+
+        #[test]
+        fn single_bit_flips_of_a_valid_request_never_panic_the_parser(capacity in 1usize..64) {
+            for bit in 0..VALID.len() * 8 {
+                let mut bytes = VALID.to_vec();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                let _ = parse_bounded(&bytes, capacity);
+            }
+        }
+    }
 }

@@ -45,7 +45,7 @@ pub use replay::{
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -300,11 +300,23 @@ impl Server {
     /// the admission queue so every accepted request is answered, wait for
     /// in-flight connections (bounded by `drain_grace_millis`), and zero
     /// the queue-depth gauge.
+    ///
+    /// The accept loop blocks in `accept`, so a connection is taken as soon
+    /// as it arrives. A watcher thread wakes the loop when `stop` turns
+    /// true, whoever flips it: [`ServerHandle::shutdown`], its drop, or the
+    /// handler of [`install_term_handler`].
     pub fn run(self, stop: Arc<AtomicBool>) {
+        let wake_addr = wake_address(self.local_addr());
         let Server { listener, shared } = self;
-        listener
-            .set_nonblocking(true)
-            .expect("accept loop needs a non-blocking listener");
+
+        let (loop_done, loop_exited) = mpsc::channel::<()>();
+        let watcher = {
+            let stop = Arc::clone(&stop);
+            std::thread::Builder::new()
+                .name("hlm-serve-wake".into())
+                .spawn(move || wake_on_stop(&stop, wake_addr, &loop_exited))
+                .expect("spawn stop watcher")
+        };
 
         let workers: Vec<JoinHandle<()>> = (0..shared.config.workers.max(1))
             .map(|i| {
@@ -331,15 +343,18 @@ impl Server {
                         shared.conns.fetch_sub(1, Ordering::SeqCst);
                     }
                 }
+                // A signal, or a peer that reset before it was taken: the
+                // next connection may already be waiting.
                 Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::Interrupted =>
-                {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                    if e.kind() == std::io::ErrorKind::Interrupted
+                        || e.kind() == std::io::ErrorKind::ConnectionAborted => {}
+                // Out of file descriptors or buffers: back off rather than
+                // spin a core until some are released.
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         }
+        drop(loop_done);
+        let _ = watcher.join();
 
         // Drain: refuse new work, flush what was admitted, then let
         // connections finish writing.
@@ -374,6 +389,44 @@ impl Server {
             stop,
             shared,
             thread: Some(thread),
+        }
+    }
+}
+
+/// Pause after an accept error that retrying at once would repeat.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+/// How often the stop watcher reads the flag. It is off the request path:
+/// it only bounds how long a stop waits before the drain starts.
+const WAKE_POLL: Duration = Duration::from_millis(20);
+/// Cap on one wake connect, so a full accept backlog cannot hang it.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Where the stop watcher connects: the listener's own address, with an
+/// unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_address(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        let loopback: IpAddr = match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        };
+        addr.set_ip(loopback);
+    }
+    addr
+}
+
+/// Wake the accept loop, blocked in `accept`, once `stop` turns true. A
+/// signal handler can only store the flag, and SIGTERM does not interrupt
+/// `accept` (`signal(2)` installs the handler with `SA_RESTART`), so the
+/// watcher reads the flag every [`WAKE_POLL`] and then connects to the
+/// listener: `accept` returns and the loop sees the flag. A failed connect
+/// is retried until the loop has exited, which `loop_exited` reports by
+/// disconnecting.
+fn wake_on_stop(stop: &AtomicBool, addr: SocketAddr, loop_exited: &mpsc::Receiver<()>) {
+    while let Err(mpsc::RecvTimeoutError::Timeout) = loop_exited.recv_timeout(WAKE_POLL) {
+        if stop.load(Ordering::SeqCst)
+            && TcpStream::connect_timeout(&addr, WAKE_CONNECT_TIMEOUT).is_ok()
+        {
+            return;
         }
     }
 }
@@ -436,11 +489,9 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_millis.max(1))));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_millis.max(1))));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
+    // `&TcpStream` reads and writes, so one descriptor serves both halves.
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
 
     for served in 0..cfg.max_requests_per_conn {
         match http::read_request(&mut reader) {
@@ -882,4 +933,17 @@ pub use term::install_term_handler;
 /// [`ServerHandle::shutdown`] or process exit.
 pub fn install_term_handler() -> Arc<AtomicBool> {
     Arc::new(AtomicBool::new(false))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wake_address;
+
+    #[test]
+    fn wake_address_swaps_only_an_unspecified_ip_for_loopback() {
+        let wake = |a: &str| wake_address(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:8787"), "127.0.0.1:8787");
+        assert_eq!(wake("[::]:8787"), "[::1]:8787");
+        assert_eq!(wake("10.1.2.3:8787"), "10.1.2.3:8787");
+    }
 }

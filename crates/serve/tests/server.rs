@@ -11,7 +11,8 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hlm_datagen::GeneratorConfig;
@@ -586,6 +587,55 @@ fn graceful_drain_answers_admitted_work_then_stops() {
     assert!(
         TcpStream::connect_timeout(&addr, Duration::from_millis(300)).is_err(),
         "listener should be closed after drain"
+    );
+}
+
+/// Run `f` on its own thread; the receiver hears when it has returned.
+fn spawn_watched(f: impl FnOnce() + Send + 'static) -> (JoinHandle<()>, mpsc::Receiver<()>) {
+    let (done, returned) = mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        f();
+        let _ = done.send(());
+    });
+    (thread, returned)
+}
+
+/// Fail, instead of hanging, unless the watched call returns within 2 s.
+fn assert_returns_within_2s(what: &str, (thread, returned): (JoinHandle<()>, mpsc::Receiver<()>)) {
+    if returned.recv_timeout(Duration::from_secs(2)).is_err() {
+        panic!("{what} did not return within 2 s: stop never woke the idle accept loop");
+    }
+    thread.join().unwrap();
+}
+
+#[test]
+fn stop_flag_wakes_an_idle_accept_loop() {
+    let engine = engine();
+    let b = bundle(&engine, trained_model(&engine));
+    let server = Server::bind(ServerConfig::default(), Arc::clone(&engine), b, None).unwrap();
+    let addr = server.local_addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let running = {
+        let stop = Arc::clone(&stop);
+        spawn_watched(move || server.run(stop))
+    };
+
+    // One answered request shows the loop is up; it then blocks in
+    // `accept` with no client left. Flip the flag the way `hlm serve`'s
+    // SIGTERM handler does: a bare store, nothing else.
+    assert_eq!(get(addr, "/healthz").0, 200);
+    stop.store(true, Ordering::SeqCst);
+    assert_returns_within_2s("Server::run after its stop flag flipped", running);
+}
+
+#[test]
+fn shutdown_of_an_idle_server_returns_promptly() {
+    let engine = engine();
+    let (handle, _model) = start_default(&engine);
+    assert_eq!(get(handle.addr(), "/healthz").0, 200);
+    assert_returns_within_2s(
+        "ServerHandle::shutdown",
+        spawn_watched(move || handle.shutdown()),
     );
 }
 
