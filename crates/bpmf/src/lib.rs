@@ -606,14 +606,14 @@ mod tests {
             })
             .collect();
         let mut obs = Vec::new();
-        for i in 0..n {
-            for j in 0..m {
+        for (i, row) in full.iter().enumerate() {
+            for (j, &value) in row.iter().enumerate() {
                 // Hold out a diagonal stripe for testing.
                 if (i + j) % 5 != 0 {
                     obs.push(Rating {
                         row: i,
                         col: j,
-                        value: full[i][j],
+                        value,
                     });
                 }
             }
@@ -627,10 +627,10 @@ mod tests {
         let model = fit(30, 12, &obs, &quick_cfg(1), None);
         let mut se = 0.0;
         let mut n = 0.0;
-        for i in 0..30 {
-            for j in 0..12 {
+        for (i, row) in full.iter().enumerate() {
+            for (j, &value) in row.iter().enumerate() {
                 if (i + j) % 5 == 0 {
-                    let e = model.predict(i, j) - full[i][j];
+                    let e = model.predict(i, j) - value;
                     se += e * e;
                     n += 1.0;
                 }

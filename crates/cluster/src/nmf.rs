@@ -200,7 +200,7 @@ mod tests {
     /// 10..20 use cols 4..8, rows 20..24 use both blocks.
     fn block_matrix() -> Matrix {
         Matrix::from_fn(24, 8, |i, j| {
-            let in_a = i < 10 || i >= 20;
+            let in_a = !(10..20).contains(&i);
             let in_b = (10..20).contains(&i) || i >= 20;
             let col_a = j < 4;
             if (in_a && col_a) || (in_b && !col_a) {

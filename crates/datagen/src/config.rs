@@ -132,16 +132,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "founding must precede horizon")]
     fn rejects_inverted_time() {
-        let mut c = GeneratorConfig::default();
-        c.horizon = Month::from_ym(2000, 1);
+        let c = GeneratorConfig {
+            horizon: Month::from_ym(2000, 1),
+            ..Default::default()
+        };
         c.validate();
     }
 
     #[test]
     #[should_panic(expected = "popularity_weight")]
     fn rejects_bad_popularity() {
-        let mut c = GeneratorConfig::default();
-        c.popularity_weight = 1.5;
+        let c = GeneratorConfig {
+            popularity_weight: 1.5,
+            ..Default::default()
+        };
         c.validate();
     }
 }

@@ -449,8 +449,8 @@ mod tests {
         let key = |c: &Company| (c.duns, c.events().to_vec());
         let mut a: Vec<_> = replayed.companies().iter().map(key).collect();
         let mut b: Vec<_> = direct.companies().iter().map(key).collect();
-        a.sort_by(|x, y| x.0.cmp(&y.0));
-        b.sort_by(|x, y| x.0.cmp(&y.0));
+        a.sort_by_key(|x| x.0);
+        b.sort_by_key(|x| x.0);
         assert_eq!(a, b, "replayed corpus must equal the generated one");
     }
 

@@ -157,10 +157,10 @@ mod tests {
     use super::*;
     use hlm_corpus::{Company, InstallEvent, Month, ProductId, Sic2, Vocabulary};
 
-    /// Drift case: reference acquisitions are product 0, recent ones product
-    /// 1. No-drift case: both periods are an even 50/50 mix of products 0
-    /// and 2 (each company acquires one of them per period, the other one
-    /// in the other period, so nothing merges).
+    /// Drift case: reference acquisitions are product 0, recent ones
+    /// product 1. No-drift case: both periods are an even 50/50 mix of
+    /// products 0 and 2 (each company acquires one of them per period, the
+    /// other one in the other period, so nothing merges).
     fn corpus(drift: bool, n: usize) -> Corpus {
         let vocab = Vocabulary::new(["a", "b", "c"]);
         let companies = (0..n)

@@ -25,8 +25,9 @@
 //!    sweep-start snapshot; per-chunk count deltas are folded in global
 //!    chunk order — the same additions, on the same values, in the same
 //!    order at any layout (hlm-par's ordered-reduction contract).
-//! 4. **Exact state.** Spill records store the `f64` bits verbatim, so no
-//!    floating-point value is ever re-derived.
+//! 4. **Exact state.** Spill records store the `f64` bits verbatim (a
+//!    doc-topic cell left out is `+0.0`), so no floating-point value is
+//!    ever re-derived.
 //!
 //! Checkpoints are per *shard step* (one shard of one sweep; with one
 //! resident shard, one sweep). Both kinds carry the same small global state
@@ -42,7 +43,6 @@ use crate::gibbs::{
 };
 use crate::model::{LdaConfig, LdaModel, SamplerChoice};
 use crate::WeightedDoc;
-use hlm_corpus::shard::fnv1a;
 use hlm_linalg::Matrix;
 use hlm_par::Pool;
 use hlm_resilience::{Checkpoint, ResilienceError, TrainControl};
@@ -280,9 +280,17 @@ impl ShardedGibbsTrainer {
 }
 
 /// Magic bytes opening every spill record.
-const SPILL_MAGIC: &[u8; 8] = b"HLMGSPL1";
+const SPILL_MAGIC: &[u8; 8] = b"HLMGSPL2";
 /// Spill record header: magic, shard, version, doc count, token count.
 const SPILL_HEADER: usize = 40;
+/// Bytes of one stored doc-topic cell: a `u16` topic and the `f64` bits.
+const SPILL_CELL: usize = 10;
+/// Magic bytes of the earlier spill layout (dense `n_dk`, byte-wise sum).
+const OLD_SPILL_MAGIC: &[u8; 8] = b"HLMGSPL1";
+/// Why a spill record in the earlier layout is refused.
+const OLD_SPILL_FORMAT: &str = "is in the old HLMGSPL1 layout; the layout changed to \
+    sparse doc-topic rows with a word-wise checksum (HLMGSPL2), and old records are \
+    rejected rather than decoded (restart the fit to replace it)";
 /// Magic bytes opening a resident (`lda-gibbs`) checkpoint payload:
 /// `RESIDENT_MAGIC`, the spill record's length (u64 LE), the record, then
 /// the global state as JSON.
@@ -352,22 +360,35 @@ impl Shard {
         }
     }
 
-    /// Bytes of the state's spill record.
+    /// Bytes of the state's spill record, for reserving its buffer.
     fn record_len(&self) -> usize {
-        SPILL_HEADER + self.tok_z.len() * 2 + self.n_dk.len() * 8 + 8
+        let cells = self.n_dk.iter().filter(|v| v.to_bits() != 0).count();
+        let rows = self.n_dk.len() / self.k;
+        SPILL_HEADER + self.tok_z.len() * 2 + rows * 2 + cells * SPILL_CELL + 8
     }
 
     /// Appends the state as a spill record: the header, raw `u16`
-    /// assignments, raw `f64` doc-topic bits, and an FNV-1a trailer over the
-    /// record.
+    /// assignments, the sparse doc-topic rows, and a word-wise FNV-1a
+    /// trailer over the record. A row is its cell count (`u16`), then
+    /// `(u16 topic, f64 bits)` for every cell whose bits are not `+0.0`, in
+    /// ascending topic order — so `-0.0` and every residue keep their bits.
     fn encode_state(&self, out: &mut Vec<u8>, shard: usize, version: u64) {
         let start = out.len();
-        out.reserve(self.record_len());
         let docs = self.n_dk.len() / self.k;
         out.extend(spill_header(shard, version, docs, self.tok_z.len()));
         out.extend(self.tok_z.iter().flat_map(|z| z.to_le_bytes()));
-        out.extend(self.n_dk.iter().flat_map(|v| v.to_bits().to_le_bytes()));
-        let sum = fnv1a(&out[start..]);
+        for row in self.n_dk.chunks_exact(self.k) {
+            let count_at = out.len();
+            out.extend_from_slice(&[0; 2]);
+            let mut count = 0u16;
+            for (t, v) in row.iter().enumerate().filter(|(_, v)| v.to_bits() != 0) {
+                out.extend_from_slice(&(t as u16).to_le_bytes());
+                out.extend_from_slice(&v.to_bits().to_le_bytes());
+                count += 1;
+            }
+            out[count_at..count_at + 2].copy_from_slice(&count.to_le_bytes());
+        }
+        let sum = fnv1a_words(&out[start..]);
         out.extend_from_slice(&sum.to_le_bytes());
     }
 
@@ -382,31 +403,74 @@ impl Shard {
     ) -> Result<(), ResilienceError> {
         let what = format!("spill of shard {shard} v{version}");
         let corrupt = |why: &str| Err(ResilienceError::corrupt(format!("{what} {why}")));
+        if record.starts_with(OLD_SPILL_MAGIC) {
+            let reason = format!("{what} {OLD_SPILL_FORMAT}");
+            return Err(ResilienceError::Mismatch { reason });
+        }
         let (body, trailer) = record.split_at(record.len().saturating_sub(8));
-        if body.len() < SPILL_HEADER || fnv1a(body).to_le_bytes() != trailer {
+        if body.len() < SPILL_HEADER || fnv1a_words(body).to_le_bytes() != trailer {
             return corrupt("is truncated or damaged");
         }
         let (k, n_docs, n_tokens) = (self.k, self.doc_start.len() - 1, self.tok_doc.len());
-        if body[..SPILL_HEADER] != spill_header(shard, version, n_docs, n_tokens)
-            || body.len() != SPILL_HEADER + n_tokens * 2 + n_docs * k * 8
-        {
+        if body[..SPILL_HEADER] != spill_header(shard, version, n_docs, n_tokens) {
             let reason = format!("{what} does not hold this shard's documents");
             return Err(ResilienceError::Mismatch { reason });
         }
-        let (z_bytes, dk_bytes) = body[SPILL_HEADER..].split_at(n_tokens * 2);
-        let dk_of = |b: &[u8; 8]| f64::from_bits(u64::from_le_bytes(*b));
+        let Some((z_bytes, mut rows)) = body[SPILL_HEADER..].split_at_checked(n_tokens * 2) else {
+            return corrupt("is cut short");
+        };
         self.tok_z = z_bytes
             .as_chunks()
             .0
             .iter()
             .map(|b| u16::from_le_bytes(*b))
             .collect();
-        self.n_dk = dk_bytes.as_chunks().0.iter().map(dk_of).collect();
         if self.tok_z.iter().any(|&z| usize::from(z) >= k) {
             return corrupt("has a topic out of range");
         }
+        self.n_dk = vec![0.0; n_docs * k];
+        for row in self.n_dk.chunks_exact_mut(k) {
+            let Some((count, rest)) = rows.split_first_chunk::<2>() else {
+                return corrupt("is cut short");
+            };
+            let count = usize::from(u16::from_le_bytes(*count));
+            let Some((cells, rest)) = rest.split_at_checked(count * SPILL_CELL) else {
+                return corrupt("is cut short");
+            };
+            // Topics strictly ascend below K (so a row holds at most K
+            // cells): `lo` is the smallest topic still allowed.
+            let mut lo = 0;
+            for [t0, t1, bits @ ..] in cells.as_chunks::<SPILL_CELL>().0 {
+                let t = usize::from(u16::from_le_bytes([*t0, *t1]));
+                if t < lo || t >= k {
+                    return corrupt("has doc-topic cells out of order or out of range");
+                }
+                row[t] = f64::from_bits(u64::from_le_bytes(*bits));
+                lo = t + 1;
+            }
+            rows = rest;
+        }
+        if !rows.is_empty() {
+            return corrupt("has bytes after its last doc-topic row");
+        }
         Ok(())
     }
+}
+
+/// FNV-1a over `bytes` read as `u64` LE words, then over the tail bytes one
+/// at a time. Every step is a bijection of the running hash, so changing any
+/// single word (or tail byte) always changes the sum.
+fn fnv1a_words(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x100_0000_01b3;
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        h = (h ^ u64::from_le_bytes(*w)).wrapping_mul(PRIME);
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    h
 }
 
 /// A spill record's header: magic, shard, version, doc and token counts.
@@ -511,8 +575,11 @@ fn encode_checkpoint(state: &GlobalState, home: &Home) -> Vec<u8> {
     if let Home::Resident(shard, _) = home {
         out.reserve(16 + shard.record_len() + global.len());
         out.extend_from_slice(RESIDENT_MAGIC);
-        out.extend_from_slice(&(shard.record_len() as u64).to_le_bytes());
+        out.extend_from_slice(&[0; 8]);
         shard.encode_state(&mut out, 0, state.step);
+        // The length prefix is filled in from the record as encoded.
+        let rec_len = (out.len() - 16) as u64;
+        out[8..16].copy_from_slice(&rec_len.to_le_bytes());
     }
     out.extend_from_slice(global.as_bytes());
     out
@@ -574,6 +641,8 @@ fn drive<S: DocShardSource + ?Sized>(
     let kind = cfg.sampler.resolve(k);
     let (n_docs, n_shards) = (source.n_docs(), source.n_shards());
     validate_spans(source);
+    // Topics, and a spill row's cell count, are stored as `u16`.
+    assert!(k <= usize::from(u16::MAX), "at most {} topics", u16::MAX);
     if let Home::Spilled(dir, _) = &home {
         std::fs::create_dir_all(dir).map_err(|e| ResilienceError::io("create work dir", e))?;
     }
@@ -830,7 +899,8 @@ fn clear_spills(dir: &Path) -> Result<(), ResilienceError> {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        if name.starts_with("gibbs_shard_") && name.ends_with(".bin") {
+        // `.tmp` files are writes a kill cut off before their rename.
+        if name.starts_with("gibbs_shard_") && (name.ends_with(".bin") || name.ends_with(".tmp")) {
             std::fs::remove_file(entry.path())
                 .map_err(|e| ResilienceError::io("remove stale spill", e))?;
         }
@@ -840,7 +910,7 @@ fn clear_spills(dir: &Path) -> Result<(), ResilienceError> {
 
 /// Writes a shard's spill record atomically (temp file + rename).
 fn write_spill(dir: &Path, s: usize, version: u64, shard: &Shard) -> Result<(), ResilienceError> {
-    let mut bytes = Vec::new();
+    let mut bytes = Vec::with_capacity(shard.record_len());
     shard.encode_state(&mut bytes, s, version);
     let path = spill_path(dir, s, version);
     let tmp = path.with_extension("tmp");
@@ -881,6 +951,7 @@ mod tests {
     use crate::gibbs::GibbsTrainer;
     use crate::unit_weights;
     use hlm_resilience::{CheckpointStore, MemIo, RunGuard};
+    use proptest::prelude::*;
 
     fn planted_docs(n_docs: usize, seed: u64) -> Vec<WeightedDoc> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1049,5 +1120,150 @@ mod tests {
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert!(files <= 2, "spill files must stay bounded, found {files}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fresh_fit_removes_stale_temp_spills() {
+        let docs = planted_docs(128, 8);
+        let dir = work_dir("stale_tmp");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A write a kill cut off before its rename, for a shard this fit
+        // never writes, so only the fresh-run cleanup can remove it.
+        let stale = spill_path(&dir, 7, 3).with_extension("tmp");
+        std::fs::write(&stale, b"partial").unwrap();
+        let _ = ShardedGibbsTrainer::new(cfg(2, 9), &dir).fit(&MemDocShards::new(&docs, 2));
+        assert!(!stale.exists(), "a fresh fit must remove stale temp spills");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A shard of four documents at K=4 whose doc-topic rows hold what a
+    /// sparse codec could lose: positive and negative fractional residues,
+    /// `-0.0`, a subnormal, an all-zero row and a fully dense row.
+    fn codec_shard() -> (Vec<WeightedDoc>, Shard) {
+        let docs: Vec<WeightedDoc> = vec![
+            vec![(0, 0.1), (1, 0.2), (2, 0.3)],
+            vec![(3, 1.0)],
+            vec![],
+            vec![(4, 0.7), (5, 0.25), (0, 1.5), (1, 2.0)],
+        ];
+        let mut shard = Shard::new(&docs, 4, 6);
+        shard.tok_z = vec![0, 1, 3, 2, 0, 1, 2, 3];
+        shard.n_dk = [
+            [0.1 + 0.2 - 0.3, -0.0, 0.3 - 0.2 - 0.1, 5e-324],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0; 4],
+            [0.7, 0.25, 1.5, 2.0],
+        ]
+        .concat();
+        (docs, shard)
+    }
+
+    /// `codec_shard`'s record (shard 0, version 1) with its doc-topic rows
+    /// replaced by `rows` and the checksum recomputed, so only the row
+    /// parser can object.
+    fn resealed(rows: &[u8]) -> Vec<u8> {
+        let (_, shard) = codec_shard();
+        let mut record = Vec::new();
+        shard.encode_state(&mut record, 0, 1);
+        record.truncate(SPILL_HEADER + shard.tok_z.len() * 2);
+        record.extend_from_slice(rows);
+        let sum = fnv1a_words(&record);
+        record.extend_from_slice(&sum.to_le_bytes());
+        record
+    }
+
+    /// A doc-topic row's bytes: `count`, then a `(topic, 1.0)` cell per
+    /// entry of `topics`.
+    fn row(count: u16, topics: &[u16]) -> Vec<u8> {
+        let mut out = count.to_le_bytes().to_vec();
+        for t in topics {
+            out.extend_from_slice(&t.to_le_bytes());
+            out.extend_from_slice(&1f64.to_bits().to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn spill_record_round_trips_every_bit() {
+        let (docs, shard) = codec_shard();
+        let mut record = Vec::new();
+        shard.encode_state(&mut record, 3, 7);
+        assert_eq!(record.len(), shard.record_len());
+        let mut loaded = Shard::new(&docs, 4, 6);
+        loaded.load_state(&record, 3, 7).unwrap();
+        assert_eq!(loaded.tok_z, shard.tok_z);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&loaded.n_dk), bits(&shard.n_dk));
+    }
+
+    #[test]
+    fn damaged_doc_topic_rows_are_corrupt() {
+        let (docs, _) = codec_shard();
+        let load = |rows: Vec<u8>| Shard::new(&docs, 4, 6).load_state(&resealed(&rows), 0, 1);
+        // Rows 1-3 of a valid record; the cases edit row 0 or the end.
+        let tail = [row(1, &[2]), row(0, &[]), row(2, &[0, 3])].concat();
+        load([row(1, &[0]), tail.clone()].concat()).unwrap();
+        let cases = [
+            ("count above K", [row(5, &[0, 1, 2, 3, 3]), tail.clone()]),
+            ("repeated topic", [row(2, &[1, 1]), tail.clone()]),
+            ("descending topic", [row(2, &[2, 1]), tail.clone()]),
+            ("topic = K", [row(1, &[4]), tail.clone()]),
+            (
+                "row cut short",
+                [row(1, &[0]), tail[..tail.len() - 1].to_vec()],
+            ),
+            ("trailing byte", [row(1, &[0]), [&tail[..], &[0]].concat()]),
+        ];
+        for (what, rows) in cases {
+            let err = load(rows.concat()).unwrap_err();
+            assert!(
+                matches!(err, ResilienceError::Corrupt { .. }),
+                "{what}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn old_layout_spill_is_a_mismatch() {
+        // An HLMGSPL1 record as the earlier encoder wrote it: dense f64
+        // rows and a byte-wise FNV-1a trailer.
+        let (docs, shard) = codec_shard();
+        let mut record = b"HLMGSPL1".to_vec();
+        record.extend([0u64, 1, 4, 8].iter().flat_map(|v| v.to_le_bytes()));
+        record.extend(shard.tok_z.iter().flat_map(|z| z.to_le_bytes()));
+        record.extend(shard.n_dk.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+        let sum = hlm_corpus::shard::fnv1a(&record);
+        record.extend_from_slice(&sum.to_le_bytes());
+        let err = Shard::new(&docs, 4, 6)
+            .load_state(&record, 0, 1)
+            .unwrap_err();
+        let ResilienceError::Mismatch { reason } = err else {
+            panic!("expected a mismatch, got {err:?}");
+        };
+        assert!(reason.contains("HLMGSPL1"), "{reason}");
+        assert!(reason.contains("layout changed"), "{reason}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The checksum stops random damage before it reaches the row
+        /// parser, so this seals arbitrary rows (counts that disagree with
+        /// their cells, topics in any order, stray bytes) and parses them:
+        /// the answer is `Ok` or `Corrupt`, never a panic.
+        #[test]
+        fn sealed_arbitrary_rows_never_panic(
+            rows in prop::collection::vec((0u16..7, prop::collection::vec(0u16..6, 0..7)), 0..6),
+            junk in prop::collection::vec(0u8..=255, 0..3),
+        ) {
+            let (docs, _) = codec_shard();
+            let mut bytes: Vec<u8> = rows.iter().flat_map(|(n, topics)| row(*n, topics)).collect();
+            bytes.extend(junk);
+            let result = Shard::new(&docs, 4, 6).load_state(&resealed(&bytes), 0, 1);
+            prop_assert!(
+                matches!(result, Ok(()) | Err(ResilienceError::Corrupt { .. })),
+                "{result:?}"
+            );
+        }
     }
 }

@@ -254,7 +254,7 @@ mod tests {
         assert_eq!(s.write(b"GET").unwrap(), 3);
         assert_eq!(&s.get_ref().0, b"gET", "G ^ 0x20 = g");
         // Only the scheduled write is damaged.
-        s.write(b" /x").unwrap();
+        assert_eq!(s.write(b" /x").unwrap(), 3);
         assert_eq!(&s.get_ref().0, b"gET /x");
     }
 
@@ -266,7 +266,7 @@ mod tests {
             mask: 0x01,
         });
         let mut s = FaultyStream::new(Sink::default(), plan);
-        s.write(b"xyz").unwrap();
+        assert_eq!(s.write(b"xyz").unwrap(), 3);
         assert_eq!(s.get_ref().0, vec![b'x', b'y', b'z' ^ 0x01]);
     }
 
