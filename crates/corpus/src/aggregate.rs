@@ -12,7 +12,7 @@ use crate::company::{Company, InstallEvent, Sic2};
 use crate::corpus::Corpus;
 use crate::vocab::Vocabulary;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One business location, as delivered by the (simulated) data provider.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -46,7 +46,7 @@ pub struct SiteRecord {
 /// Output companies are ordered by `(domestic_parent_duns, country)` so the
 /// mapping is deterministic regardless of input order.
 pub fn aggregate_sites(vocab: Vocabulary, sites: Vec<SiteRecord>) -> Corpus {
-    let mut groups: HashMap<(u64, u16), Company> = HashMap::new();
+    let mut groups: BTreeMap<(u64, u16), Company> = BTreeMap::new();
     for site in sites {
         let key = (site.domestic_parent_duns, site.country);
         let entry = groups.entry(key).or_insert_with(|| {
@@ -66,13 +66,7 @@ pub fn aggregate_sites(vocab: Vocabulary, sites: Vec<SiteRecord>) -> Corpus {
             entry.add_event(ev);
         }
     }
-    let mut keys: Vec<(u64, u16)> = groups.keys().copied().collect();
-    keys.sort_unstable();
-    let companies = keys
-        .into_iter()
-        .map(|k| groups.remove(&k).expect("key present"))
-        .collect();
-    Corpus::new(vocab, companies)
+    Corpus::new(vocab, groups.into_values().collect())
 }
 
 #[cfg(test)]

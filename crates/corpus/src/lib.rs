@@ -15,6 +15,8 @@
 //! * D-U-N-S-style [`aggregate`]: per-site records rolled up into domestic
 //!   company entities, mirroring the paper's data-integration step.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod aggregate;
 pub mod company;
 pub mod corpus;
@@ -30,8 +32,8 @@ pub mod vocab;
 pub use company::{Company, CompanyId, InstallEvent, Sic2};
 pub use corpus::Corpus;
 pub use shard::{
-    CorpusSource, Manifest, MemShardSource, ShardEntry, ShardError, ShardReader, ShardStore,
-    ShardWriter, SHARD_ALIGN,
+    CorpusSource, Manifest, MemShardSource, ProductSets, ShardEntry, ShardError, ShardReader,
+    ShardStore, ShardWriter, SHARD_ALIGN,
 };
 pub use split::Split;
 pub use time::{Month, SlidingWindows, TimeWindow};

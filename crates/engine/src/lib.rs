@@ -37,7 +37,7 @@ use hlm_corpus::{CompanyId, Corpus, Month, TimeWindow};
 use hlm_eval::drift::DriftReport;
 use hlm_eval::{Recommender, RecommenderFactory};
 use hlm_lda::{
-    DocShardSource, GibbsTrainer, LdaConfig, LdaModel, OnlineVbOptions, OnlineVbTrainer,
+    DocBatch, DocShardSource, GibbsTrainer, LdaConfig, LdaModel, OnlineVbOptions, OnlineVbTrainer,
     ShardedGibbsTrainer, VbOptions, VbTrainer, WeightedDoc,
 };
 use hlm_linalg::Matrix;
@@ -837,7 +837,8 @@ pub fn fit_lda_resilient(
 /// becomes its binary install-base document (distinct products, weight 1.0
 /// each) — exactly what `hlm_core::representations::binary_docs` produces
 /// for the full id range, so in-memory and sharded training see identical
-/// token streams.
+/// token streams. A shard that cannot be read back intact is a
+/// [`ResilienceError::Corrupt`] naming it.
 pub struct CorpusDocShards<'a, S: CorpusSource + ?Sized> {
     source: &'a S,
 }
@@ -862,17 +863,15 @@ impl<S: CorpusSource + ?Sized> DocShardSource for CorpusDocShards<'_, S> {
         self.source.shard_span(s)
     }
 
-    fn shard_docs(&self, s: usize) -> Vec<WeightedDoc> {
-        self.source
-            .shard(s)
-            .iter()
-            .map(|c| {
-                c.product_set()
-                    .into_iter()
-                    .map(|p| (p.index(), 1.0))
-                    .collect()
-            })
-            .collect()
+    fn shard_docs(&self, s: usize) -> Result<DocBatch, ResilienceError> {
+        let sets = self
+            .source
+            .product_sets(s)
+            .map_err(|e| ResilienceError::corrupt(e.to_string()))?;
+        Ok(DocBatch {
+            tokens: sets.products.iter().map(|p| (p.index(), 1.0)).collect(),
+            doc_start: sets.offsets,
+        })
     }
 }
 

@@ -45,7 +45,7 @@ pub use model::{LdaConfig, LdaModel, SamplerChoice};
 pub use online_vb::{OnlineVbOptions, OnlineVbTrainer, ONLINE_VB_CHECKPOINT_KIND};
 pub use perplexity::{document_completion_perplexity, held_out_log_likelihood};
 pub use sharded::{
-    DocShardSource, MemDocShards, ShardedGibbsTrainer, SHARDED_GIBBS_CHECKPOINT_KIND,
+    DocBatch, DocShardSource, MemDocShards, ShardedGibbsTrainer, SHARDED_GIBBS_CHECKPOINT_KIND,
 };
 pub use vb::{VbOptions, VbTrainer, VB_CHECKPOINT_KIND};
 

@@ -107,7 +107,8 @@ impl OnlineVbTrainer {
     /// (expected `phi` under the final variational posterior `λ`).
     ///
     /// # Panics
-    /// Panics on out-of-vocabulary words or non-positive token weights.
+    /// Panics on out-of-vocabulary words, non-positive token weights or a
+    /// shard the source cannot read.
     pub fn fit<S: DocShardSource + ?Sized>(&self, source: &S) -> LdaModel {
         self.fit_resumable(source, &mut TrainControl::noop(), None)
             .expect("noop control cannot interrupt training")
@@ -171,29 +172,27 @@ impl OnlineVbTrainer {
             ctrl.begin_iteration(step)?;
             let step_t0 = rec.is_enabled().then(std::time::Instant::now);
             let s = (step % n_shards as u64) as usize;
-            let docs = source.shard_docs(s);
-            for doc in &docs {
-                for &(w, weight) in doc {
-                    assert!(w < m, "word {w} outside vocabulary of {m}");
-                    assert!(
-                        weight.is_finite() && weight > 0.0,
-                        "token weight must be positive, got {weight}"
-                    );
-                }
+            let batch = source.shard_docs(s)?;
+            for &(w, weight) in &batch.tokens {
+                assert!(w < m, "word {w} outside vocabulary of {m}");
+                assert!(
+                    weight.is_finite() && weight > 0.0,
+                    "token weight must be positive, got {weight}"
+                );
             }
 
             fill_e_log_phi(&lambda, &mut e_log_phi);
 
             // Minibatch E-step over fixed document chunks, merged in chunk
             // order (deterministic at any thread count).
-            let n_chunks = hlm_par::chunk_count(docs.len(), VB_DOC_CHUNK);
+            let n_chunks = hlm_par::chunk_count(batch.len(), VB_DOC_CHUNK);
             let contribs = pool.run(n_chunks, |c| {
-                let (d_lo, d_hi) = hlm_par::chunk_bounds(docs.len(), VB_DOC_CHUNK, c);
+                let (d_lo, d_hi) = hlm_par::chunk_bounds(batch.len(), VB_DOC_CHUNK, c);
                 let mut contrib = Matrix::zeros(k, m);
                 let mut resp = vec![0.0f64; k];
-                for doc in docs.iter().take(d_hi).skip(d_lo) {
+                for d in d_lo..d_hi {
                     doc_e_step(
-                        doc,
+                        batch.doc(d),
                         alpha,
                         k,
                         &e_log_phi,
@@ -215,8 +214,8 @@ impl OnlineVbTrainer {
             // corpus is empty) contributes nothing.
             let rho = (self.opts.tau0 + step as f64).powf(-self.opts.kappa);
             let mut mean_change = 0.0;
-            if !docs.is_empty() {
-                let scale = n_docs as f64 / docs.len() as f64;
+            if !batch.is_empty() {
+                let scale = n_docs as f64 / batch.len() as f64;
                 for (l, &s_tw) in lambda.as_mut_slice().iter_mut().zip(ss.as_slice()) {
                     let hat = beta + scale * s_tw;
                     let new = (1.0 - rho) * *l + rho * hat;

@@ -66,7 +66,62 @@ pub trait DocShardSource {
     /// Half-open global document range of shard `s`.
     fn shard_span(&self, s: usize) -> (usize, usize);
     /// The documents of shard `s`, in global order.
-    fn shard_docs(&self, s: usize) -> Vec<WeightedDoc>;
+    ///
+    /// # Errors
+    /// [`ResilienceError::Corrupt`] when a stored shard cannot be read back
+    /// intact; the fit stops with it.
+    fn shard_docs(&self, s: usize) -> Result<DocBatch, ResilienceError>;
+}
+
+/// A shard's documents, flattened: document `d` is
+/// `tokens[doc_start[d]..doc_start[d + 1]]`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DocBatch {
+    /// One start offset per document into `tokens`, plus the end; starts
+    /// at 0.
+    pub doc_start: Vec<usize>,
+    /// Every document's `(word, weight)` tokens, document after document.
+    pub tokens: Vec<(usize, f64)>,
+}
+
+impl DocBatch {
+    /// Flattens `docs`, in order.
+    pub fn from_docs(docs: &[WeightedDoc]) -> Self {
+        let mut doc_start = Vec::with_capacity(docs.len() + 1);
+        doc_start.push(0);
+        let mut tokens = Vec::with_capacity(docs.iter().map(Vec::len).sum());
+        for doc in docs {
+            tokens.extend_from_slice(doc);
+            doc_start.push(tokens.len());
+        }
+        DocBatch { doc_start, tokens }
+    }
+
+    /// Number of documents.
+    pub fn len(&self) -> usize {
+        self.doc_start.len().saturating_sub(1)
+    }
+
+    /// True when the batch holds no documents.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Document `d`'s tokens.
+    pub fn doc(&self, d: usize) -> &[(usize, f64)] {
+        &self.tokens[self.doc_start[d]..self.doc_start[d + 1]]
+    }
+
+    /// Every document's tokens, in order.
+    pub fn docs(&self) -> impl ExactSizeIterator<Item = &[(usize, f64)]> + Clone {
+        self.doc_start.windows(2).map(|w| &self.tokens[w[0]..w[1]])
+    }
+}
+
+/// The documents of a resident `&[WeightedDoc]` as token slices, the form
+/// [`Shard::new`] and [`Shard::draw_topics`] read.
+fn doc_slices(docs: &[WeightedDoc]) -> impl ExactSizeIterator<Item = &[(usize, f64)]> + Clone {
+    docs.iter().map(Vec::as_slice)
 }
 
 /// An in-memory document slice exposed as aligned shards — the reference
@@ -112,9 +167,9 @@ impl DocShardSource for MemDocShards<'_> {
         )
     }
 
-    fn shard_docs(&self, s: usize) -> Vec<WeightedDoc> {
+    fn shard_docs(&self, s: usize) -> Result<DocBatch, ResilienceError> {
         let (lo, hi) = self.shard_span(s);
-        self.docs[lo..hi].to_vec()
+        Ok(DocBatch::from_docs(&self.docs[lo..hi]))
     }
 }
 
@@ -251,8 +306,8 @@ impl ShardedGibbsTrainer {
     /// bit-identical to `GibbsTrainer::fit` on the concatenated documents.
     ///
     /// # Panics
-    /// Panics on malformed documents or an I/O failure in the work
-    /// directory.
+    /// Panics on malformed documents, a shard the source cannot read, or an
+    /// I/O failure in the work directory.
     pub fn fit<S: DocShardSource + ?Sized>(&self, source: &S) -> LdaModel {
         self.fit_resumable(source, &mut TrainControl::noop(), None)
             .expect("noop control cannot interrupt training")
@@ -318,8 +373,12 @@ struct Shard {
 
 impl Shard {
     /// Flattens `docs` into token arrays; the state is drawn or loaded next.
-    fn new(docs: &[WeightedDoc], k: usize, m: usize) -> Self {
-        let n_tokens: usize = docs.iter().map(Vec::len).sum();
+    fn new<'d>(
+        docs: impl ExactSizeIterator<Item = &'d [(usize, f64)]> + Clone,
+        k: usize,
+        m: usize,
+    ) -> Self {
+        let n_tokens: usize = docs.clone().map(<[_]>::len).sum();
         let mut shard = Shard {
             k,
             tok_doc: Vec::with_capacity(n_tokens),
@@ -329,7 +388,7 @@ impl Shard {
             ..Shard::default()
         };
         shard.doc_start.push(0);
-        for (d, doc) in docs.iter().enumerate() {
+        for (d, doc) in docs.enumerate() {
             for &(w, weight) in doc {
                 check_token(w, weight, m);
                 shard.tok_doc.push(d as u32);
@@ -344,11 +403,16 @@ impl Shard {
     /// Draws the initial topics of `docs` from the run's one sequential
     /// stream, in token order, into the state and the global tables. It
     /// needs no token arrays, so a spilled run's initial pass builds none.
-    fn draw_topics(&mut self, docs: &[WeightedDoc], rng: &mut StdRng, st: &mut GlobalState) {
+    fn draw_topics<'d>(
+        &mut self,
+        docs: impl ExactSizeIterator<Item = &'d [(usize, f64)]> + Clone,
+        rng: &mut StdRng,
+        st: &mut GlobalState,
+    ) {
         let (k, m) = (self.k, st.n_kw.cols());
-        self.tok_z = Vec::with_capacity(docs.iter().map(Vec::len).sum());
+        self.tok_z = Vec::with_capacity(docs.clone().map(<[_]>::len).sum());
         self.n_dk = vec![0.0; docs.len() * k];
-        for (d, doc) in docs.iter().enumerate() {
+        for (d, doc) in docs.enumerate() {
             for &(w, weight) in doc {
                 check_token(w, weight, m);
                 let z = rng.gen_range(0..k);
@@ -517,7 +581,7 @@ impl Home<'_> {
         match self {
             Home::Resident(shard, _) => Ok(shard),
             Home::Spilled(dir, visiting) => {
-                let mut shard = Shard::new(&source.shard_docs(s), k, m);
+                let mut shard = Shard::new(source.shard_docs(s)?.docs(), k, m);
                 let record = std::fs::read(spill_path(dir, s, sweep))
                     .map_err(|e| ResilienceError::io("read spill", e))?;
                 shard.load_state(&record, s, sweep)?;
@@ -551,7 +615,8 @@ pub(crate) fn fit_resident(
     ctrl: &mut TrainControl,
     resume: Option<&Checkpoint>,
 ) -> Result<LdaModel, ResilienceError> {
-    let home = Home::Resident(Shard::new(docs, cfg.n_topics, cfg.vocab_size), docs);
+    let shard = Shard::new(doc_slices(docs), cfg.n_topics, cfg.vocab_size);
+    let home = Home::Resident(shard, docs);
     drive(cfg, &MemDocShards::new(docs, 1), home, ctrl, resume)
 }
 
@@ -690,12 +755,14 @@ fn drive<S: DocShardSource + ?Sized>(
             let mut st = GlobalState::fresh(cfg, n_docs, n_shards);
             let mut rng = StdRng::seed_from_u64(cfg.seed);
             match &mut home {
-                Home::Resident(shard, docs) => shard.draw_topics(docs, &mut rng, &mut st),
+                Home::Resident(shard, docs) => {
+                    shard.draw_topics(doc_slices(docs), &mut rng, &mut st);
+                }
                 Home::Spilled(dir, _) => {
                     clear_spills(dir)?;
                     for s in 0..n_shards {
-                        let mut shard = Shard::new(&[], k, m);
-                        shard.draw_topics(&source.shard_docs(s), &mut rng, &mut st);
+                        let mut shard = Shard::new(std::iter::empty(), k, m);
+                        shard.draw_topics(source.shard_docs(s)?.docs(), &mut rng, &mut st);
                         write_spill(dir, s, 0, &shard)?;
                     }
                 }
@@ -1101,7 +1168,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 1;
         std::fs::write(&path, bytes).unwrap();
-        let mut shard = Shard::new(&docs, 2, 6);
+        let mut shard = Shard::new(doc_slices(&docs), 2, 6);
         let err = shard
             .load_state(&std::fs::read(&path).unwrap(), 0, 40)
             .unwrap_err();
@@ -1146,7 +1213,7 @@ mod tests {
             vec![],
             vec![(4, 0.7), (5, 0.25), (0, 1.5), (1, 2.0)],
         ];
-        let mut shard = Shard::new(&docs, 4, 6);
+        let mut shard = Shard::new(doc_slices(&docs), 4, 6);
         shard.tok_z = vec![0, 1, 3, 2, 0, 1, 2, 3];
         shard.n_dk = [
             [0.1 + 0.2 - 0.3, -0.0, 0.3 - 0.2 - 0.1, 5e-324],
@@ -1189,7 +1256,7 @@ mod tests {
         let mut record = Vec::new();
         shard.encode_state(&mut record, 3, 7);
         assert_eq!(record.len(), shard.record_len());
-        let mut loaded = Shard::new(&docs, 4, 6);
+        let mut loaded = Shard::new(doc_slices(&docs), 4, 6);
         loaded.load_state(&record, 3, 7).unwrap();
         assert_eq!(loaded.tok_z, shard.tok_z);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1199,7 +1266,8 @@ mod tests {
     #[test]
     fn damaged_doc_topic_rows_are_corrupt() {
         let (docs, _) = codec_shard();
-        let load = |rows: Vec<u8>| Shard::new(&docs, 4, 6).load_state(&resealed(&rows), 0, 1);
+        let load =
+            |rows: Vec<u8>| Shard::new(doc_slices(&docs), 4, 6).load_state(&resealed(&rows), 0, 1);
         // Rows 1-3 of a valid record; the cases edit row 0 or the end.
         let tail = [row(1, &[2]), row(0, &[]), row(2, &[0, 3])].concat();
         load([row(1, &[0]), tail.clone()].concat()).unwrap();
@@ -1234,7 +1302,7 @@ mod tests {
         record.extend(shard.n_dk.iter().flat_map(|v| v.to_bits().to_le_bytes()));
         let sum = hlm_corpus::shard::fnv1a(&record);
         record.extend_from_slice(&sum.to_le_bytes());
-        let err = Shard::new(&docs, 4, 6)
+        let err = Shard::new(doc_slices(&docs), 4, 6)
             .load_state(&record, 0, 1)
             .unwrap_err();
         let ResilienceError::Mismatch { reason } = err else {
@@ -1259,7 +1327,7 @@ mod tests {
             let (docs, _) = codec_shard();
             let mut bytes: Vec<u8> = rows.iter().flat_map(|(n, topics)| row(*n, topics)).collect();
             bytes.extend(junk);
-            let result = Shard::new(&docs, 4, 6).load_state(&resealed(&bytes), 0, 1);
+            let result = Shard::new(doc_slices(&docs), 4, 6).load_state(&resealed(&bytes), 0, 1);
             prop_assert!(
                 matches!(result, Ok(()) | Err(ResilienceError::Corrupt { .. })),
                 "{result:?}"

@@ -33,7 +33,7 @@ pub(crate) const VB_DOC_CHUNK: usize = 64;
 /// floating-point sequence.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn doc_e_step(
-    doc: &WeightedDoc,
+    doc: &[(usize, f64)],
     alpha: f64,
     k: usize,
     e_log_phi: &Matrix,
