@@ -97,7 +97,7 @@ impl Checkpoint {
         };
 
         if take(&mut pos, 8)? != MAGIC {
-            return Err(ResilienceError::corrupt("bad magic"));
+            return Err(ResilienceError::corrupt("checkpoint has a bad magic"));
         }
         let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
         if version != VERSION {
@@ -107,16 +107,18 @@ impl Checkpoint {
         }
         let kind_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
         let kind = std::str::from_utf8(take(&mut pos, kind_len)?)
-            .map_err(|_| ResilienceError::corrupt("kind is not UTF-8"))?
+            .map_err(|_| ResilienceError::corrupt("checkpoint kind is not UTF-8"))?
             .to_string();
         let iteration = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
         let payload_len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
         let stored_checksum = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
         let payload_len = usize::try_from(payload_len)
-            .map_err(|_| ResilienceError::corrupt("payload length overflows usize"))?;
+            .map_err(|_| ResilienceError::corrupt("checkpoint payload length overflows usize"))?;
         let payload = take(&mut pos, payload_len)?.to_vec();
         if pos != bytes.len() {
-            return Err(ResilienceError::corrupt("trailing bytes after payload"));
+            return Err(ResilienceError::corrupt(
+                "trailing bytes after checkpoint payload",
+            ));
         }
         let ckpt = Checkpoint {
             kind,
@@ -124,7 +126,7 @@ impl Checkpoint {
             payload,
         };
         if ckpt.checksum() != stored_checksum {
-            return Err(ResilienceError::corrupt("checksum mismatch"));
+            return Err(ResilienceError::corrupt("checkpoint checksum mismatch"));
         }
         Ok(ckpt)
     }

@@ -3,7 +3,8 @@
 use std::fmt;
 
 /// Everything the resilience layer can report: watchdog trips, divergence,
-/// corrupted checkpoints, IO failures and resume-state mismatches.
+/// corrupted checkpoints or input data, IO failures and resume-state
+/// mismatches.
 ///
 /// All payloads are strings or integers so the type stays `Eq` and can ride
 /// inside `EngineError` without giving up equality-based test assertions.
@@ -28,9 +29,10 @@ pub enum ResilienceError {
         /// What diverged (e.g. `"train_nll is not finite"`).
         reason: String,
     },
-    /// A checkpoint failed its structural or checksum validation.
+    /// Stored bytes failed their structural or checksum validation: a
+    /// checkpoint, a spill file, or an input shard a fit reads.
     Corrupt {
-        /// What is wrong with the checkpoint bytes.
+        /// What is damaged, and how.
         what: String,
     },
     /// An IO operation on checkpoint storage failed.
@@ -89,7 +91,7 @@ impl fmt::Display for ResilienceError {
             ResilienceError::Diverged { iteration, reason } => {
                 write!(f, "training diverged at iteration {iteration}: {reason}")
             }
-            ResilienceError::Corrupt { what } => write!(f, "corrupt checkpoint: {what}"),
+            ResilienceError::Corrupt { what } => write!(f, "corrupt data: {what}"),
             ResilienceError::Io { op, detail } => write!(f, "checkpoint {op} failed: {detail}"),
             ResilienceError::Mismatch { reason } => {
                 write!(f, "checkpoint does not match this trainer: {reason}")
