@@ -1,8 +1,8 @@
-//! Criterion micro-benchmarks of the three Gibbs token-sampler kernels —
-//! dense scan, SparseLDA-style buckets, and LightLDA-style alias tables
-//! with Metropolis-Hastings correction — across the topic counts where
-//! `SamplerChoice::Auto` switches between them (≤16 dense, ≤64 bucket,
-//! above that alias-MH).
+//! Criterion micro-benchmarks of the two Gibbs token-sampler kernels —
+//! dense scan and LightLDA-style alias tables with Metropolis-Hastings
+//! correction — across the topic counts where `SamplerChoice::Auto`
+//! switches between them (dense up to `SamplerChoice::DENSE_MAX_TOPICS`,
+//! alias-MH above), with one point on each side of that crossover.
 //!
 //! Each benchmark times a short fixed-sweep fit on the same synthetic
 //! corpus, so the numbers compare kernels, not convergence. Like
@@ -47,10 +47,10 @@ fn bench_samplers(c: &mut Criterion) {
     let docs = corpus();
     let mut group = c.benchmark_group("gibbs_samplers");
     group.sample_size(10);
-    for k in [3usize, 16, 64, 256] {
+    let crossover = SamplerChoice::DENSE_MAX_TOPICS;
+    for k in [3usize, 16, crossover, crossover + 8, 256] {
         for (name, sampler) in [
             ("dense", SamplerChoice::Dense),
-            ("bucket", SamplerChoice::Bucket),
             ("alias", SamplerChoice::AliasMh),
         ] {
             group.bench_function(&format!("{name}_k{k}"), |b| {

@@ -10,8 +10,7 @@
 //!    thread setting, so the 8-thread run must stay within noise of the
 //!    serial one (`parallel_penalty` in the output; CI gates on ≤5%).
 //! 2. **Gibbs throughput** — weighted tokens sampled per second at one
-//!    thread, compared against the PR 3 baseline record (`BENCH_pr3.json`)
-//!    when one is present in the working directory.
+//!    thread.
 //! 3. **Serving latency** — per-query `find_similar` wall clock over the
 //!    engine's sales application, cold (empty [`hlm_core::ServingCache`])
 //!    then warm (same queries again), with the cache hit rate read back
@@ -22,9 +21,9 @@
 //!    Gibbs fit and one online-VB epoch over the store, and records
 //!    tokens/s plus the process peak RSS against an estimate of the
 //!    in-memory footprint.
-//! 5. **Sampler kernels** (PR 8) — tokens/s of the three Gibbs token
-//!    samplers (dense scan, SparseLDA buckets, LightLDA alias-MH) at
-//!    K = 128 on one thread, then a 1/2/4/8-thread sweep of the alias-MH
+//! 5. **Sampler kernels** (PR 8) — tokens/s of the two Gibbs token
+//!    samplers (dense scan, LightLDA alias-MH) at K = 128 and K = 256 on
+//!    one thread, then a 1/2/4/8-thread sweep of the alias-MH
 //!    kernel asserting bit-identical phi at every thread count. Speedup
 //!    figures from the sweep are marked valid only when the host
 //!    actually has more than one hardware thread.
@@ -95,7 +94,6 @@ struct InMemReport {
     speedup_train: f64,
     parallel_penalty: f64,
     gibbs_tokens_per_second: f64,
-    pr3_baseline: Option<(f64, f64)>,
     serve_queries: usize,
     serve_k: usize,
     cold_p50: f64,
@@ -131,20 +129,19 @@ struct SamplerRun {
     tokens_per_second: f64,
 }
 
-/// The serial shoot-out at one topic count: dense / bucket / alias-MH,
-/// each at one thread, best over interleaved rounds.
+/// The serial shoot-out at one topic count: dense / alias-MH, each at one
+/// thread, best over interleaved rounds.
 struct SamplerKGroup {
     k: usize,
     sweeps: usize,
     serial: Vec<SamplerRun>,
     alias_vs_dense: f64,
-    alias_vs_bucket: f64,
 }
 
 /// Everything phase 5 measures (sampler kernels; skipped at xl).
 struct SamplerReport {
     tokens: usize,
-    /// One serial shoot-out per topic count — the scanning kernels are
+    /// One serial shoot-out per topic count — the dense scan is
     /// O(K)-per-token and the alias proposals O(1), so the ratio's growth
     /// across K is the structural claim, not any single number.
     by_k: Vec<SamplerKGroup>,
@@ -166,15 +163,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Pulls the serial `train_seconds` out of a PR 3 benchmark record without
-/// a JSON parser: finds the `"threads": 1` run object and reads its
-/// `train_seconds` field.
-fn pr3_serial_train_seconds(raw: &str) -> Option<f64> {
-    let run = raw.split('{').find(|s| s.contains("\"threads\": 1"))?;
-    let tail = run.split("\"train_seconds\":").nth(1)?;
-    tail.split([',', '}']).next()?.trim().parse().ok()
 }
 
 /// What the in-memory pipeline keeps resident for a corpus of this shape,
@@ -252,21 +240,11 @@ fn run_in_memory(scale: &ExpScale) -> InMemReport {
         0.0,
     );
 
-    // Phase 2: Gibbs throughput, compared against a PR 3 record if present.
+    // Phase 2: Gibbs throughput.
     let gibbs_tokens_per_second = json::finite_or(
         (n_tokens * config.n_iters) as f64 / runs[0].train_seconds,
         0.0,
     );
-    let pr3_baseline = std::fs::read_to_string("BENCH_pr3.json")
-        .ok()
-        .as_deref()
-        .and_then(pr3_serial_train_seconds)
-        .map(|pr3_train| {
-            (
-                pr3_train,
-                json::finite_or(pr3_train / runs[0].train_seconds, 0.0),
-            )
-        });
 
     // Phase 3: serving latency, cold cache then warm, via the engine's
     // sales application (LDA topic-mixture representations).
@@ -324,7 +302,6 @@ fn run_in_memory(scale: &ExpScale) -> InMemReport {
         speedup_train,
         parallel_penalty,
         gibbs_tokens_per_second,
-        pr3_baseline,
         serve_queries: queries.len(),
         serve_k: k,
         cold_p50: percentile(&cold, 50.0),
@@ -418,13 +395,12 @@ fn run_sharded(scale: &ExpScale) -> ShardedReport {
     }
 }
 
-/// Phase 5: the PR 8 sampler-kernel shoot-out. K = 128 is the first regime
-/// `SamplerChoice::Auto` routes to alias-MH (everything ≤ 64 goes to the
-/// scanning kernels), and on the paper's 38-product vocabulary a medium
-/// corpus makes every word-topic row dense there — the bucket sampler's
-/// per-token scan is provably O(K) while the alias proposals stay O(1).
-/// Measuring at K = 128 *and* K = 256 exposes that scaling: the alias
-/// kernel's time stays flat while the scanning kernels double.
+/// Phase 5: the PR 8 sampler-kernel shoot-out. `SamplerChoice::Auto`
+/// routes both K = 128 and K = 256 to alias-MH (dense stops at
+/// `SamplerChoice::DENSE_MAX_TOPICS`): the dense scan is O(K) per token
+/// while the alias proposals stay O(1). Measuring at K = 128 *and* K = 256
+/// exposes that scaling: the alias kernel's time stays flat while the
+/// dense scan doubles.
 fn run_samplers(scale: &ExpScale, hardware: usize) -> SamplerReport {
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
@@ -443,14 +419,13 @@ fn run_samplers(scale: &ExpScale, hardware: usize) -> SamplerReport {
     };
 
     set_threads(1);
-    // Interleaved rounds (dense, bucket, alias, dense, …) rather than
+    // Interleaved rounds (dense, alias, dense, …) rather than
     // best-of-N per kernel back to back: host-level throttling drifts on
     // the scale of a whole phase, and interleaving exposes every kernel to
     // the same drift so the *ratios* stay honest even when absolute times
     // wobble.
-    const KERNELS: [(&str, SamplerChoice); 3] = [
+    const KERNELS: [(&str, SamplerChoice); 2] = [
         ("dense", SamplerChoice::Dense),
-        ("bucket", SamplerChoice::Bucket),
         ("alias", SamplerChoice::AliasMh),
     ];
     let mut by_k = Vec::new();
@@ -477,11 +452,7 @@ fn run_samplers(scale: &ExpScale, hardware: usize) -> SamplerReport {
             })
             .collect();
         let alias_vs_dense = json::finite_or(
-            serial[2].tokens_per_second / serial[0].tokens_per_second,
-            0.0,
-        );
-        let alias_vs_bucket = json::finite_or(
-            serial[2].tokens_per_second / serial[1].tokens_per_second,
+            serial[1].tokens_per_second / serial[0].tokens_per_second,
             0.0,
         );
         by_k.push(SamplerKGroup {
@@ -489,7 +460,6 @@ fn run_samplers(scale: &ExpScale, hardware: usize) -> SamplerReport {
             sweeps,
             serial,
             alias_vs_dense,
-            alias_vs_bucket,
         });
     }
 
@@ -925,12 +895,6 @@ fn main() {
             "gibbs throughput (1 thread): {:.0} tokens/s",
             m.gibbs_tokens_per_second
         );
-        match m.pr3_baseline {
-            Some((pr3, speedup)) => {
-                println!("vs PR3 baseline: {pr3:.3}s serial -> {speedup:.2}x faster")
-            }
-            None => println!("vs PR3 baseline: BENCH_pr3.json not found, skipped"),
-        }
         println!(
             "serve p50/p99: cold {:.1}/{:.1} µs  warm {:.1}/{:.1} µs  cache hit rate {:.0}%",
             m.cold_p50 * 1e6,
@@ -951,10 +915,7 @@ fn main() {
                     r.name, r.train_seconds, r.tokens_per_second
                 );
             }
-            println!(
-                "    alias vs dense {:.2}x, alias vs bucket {:.2}x",
-                g.alias_vs_dense, g.alias_vs_bucket
-            );
+            println!("    alias vs dense {:.2}x", g.alias_vs_dense);
         }
         let sweep: Vec<String> = sp
             .thread_sweep
@@ -1077,14 +1038,8 @@ fn main() {
             let _ = writeln!(j, "  \"parallel_penalty\": {:.4},", m.parallel_penalty);
             let _ = writeln!(
                 j,
-                "  \"gibbs\": {{\"tokens_per_second\": {:.1}{}}},",
-                m.gibbs_tokens_per_second,
-                match m.pr3_baseline {
-                    Some((pr3, speedup)) => format!(
-                        ", \"pr3_serial_train_seconds\": {pr3:.6}, \"speedup_vs_pr3\": {speedup:.4}"
-                    ),
-                    None => String::new(),
-                }
+                "  \"gibbs\": {{\"tokens_per_second\": {:.1}}},",
+                m.gibbs_tokens_per_second
             );
             let _ = writeln!(
                 j,
@@ -1122,9 +1077,8 @@ fn main() {
                 let _ = writeln!(j, "       ],");
                 let _ = writeln!(
                     j,
-                    "       \"alias_vs_dense\": {:.4}, \"alias_vs_bucket\": {:.4}}}{}",
+                    "       \"alias_vs_dense\": {:.4}}}{}",
                     g.alias_vs_dense,
-                    g.alias_vs_bucket,
                     if gi + 1 < sp.by_k.len() { "," } else { "" }
                 );
             }

@@ -735,6 +735,8 @@ mod tests {
         }
         let e = parse_args(&argv(&["topics", "--data", "d", "--estimator", "em"])).unwrap_err();
         assert!(e.contains("gibbs or online-vb"), "{e}");
+        let e = parse_args(&argv(&["topics", "--data", "d", "--sampler", "bucket"])).unwrap_err();
+        assert!(e.contains("\"bucket\" was removed"), "{e}");
     }
 
     #[test]

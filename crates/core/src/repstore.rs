@@ -24,7 +24,7 @@
 //!   sum-of-squares kernel so its distances are also bit-identical; its win
 //!   is layout only.
 //! * **Opt-in f32** — [`StorePrecision::F32`] additionally materializes
-//!   4-lane-unrolled `f32` scoring data ([`hlm_linalg::fastmath::dot_f32`]):
+//!   4-lane-unrolled `f32` scoring data ([`hlm_linalg::vector::dot_f32`]):
 //!   pre-normalized unit rows for cosine (`1 − dot(q̂, r̂)`) and raw rows
 //!   plus cached squared norms for Euclidean
 //!   (`√max(0, ‖q‖² + ‖r‖² − 2·dot)`). The f32 path is *not* bit-identical
@@ -51,8 +51,7 @@
 //! typed error instead of panicking mid-scan.
 
 use crate::similarity::{DistanceMetric, TopK};
-use hlm_linalg::fastmath::dot_f32;
-use hlm_linalg::vector::{dot, euclidean_distance_sq, norm};
+use hlm_linalg::vector::{dot, dot_f32, euclidean_distance_sq, norm};
 use hlm_linalg::Matrix;
 use std::sync::Arc;
 

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 /// Which per-token kernel the collapsed Gibbs sweep uses.
 ///
-/// All three sample from the *same* collapsed conditional — the choice
+/// Both kernels sample from the *same* collapsed conditional — the choice
 /// changes the constant factor per token, never the distribution — but each
 /// consumes RNG draws differently, so a fixed choice is part of the
 /// deterministic sampling schedule: changing it changes the chain, keeping
@@ -24,9 +24,6 @@ pub enum SamplerChoice {
     Auto,
     /// Fused dense cumulative pass — O(K) per token, lowest constant.
     Dense,
-    /// SparseLDA bucket sampler (Yao–Mimno–McCallum) — O(topics present)
-    /// per token.
-    Bucket,
     /// LightLDA-style alias-method Metropolis–Hastings — O(1) proposals
     /// from per-word alias tables rebuilt each sweep, accepted against the
     /// exact conditional.
@@ -34,23 +31,22 @@ pub enum SamplerChoice {
 }
 
 impl SamplerChoice {
-    /// Resolves `Auto` to a concrete kernel for topic count `k`. The
-    /// cutoffs come from `bench_samplers`: the dense fused pass wins small
-    /// K, the bucket sampler's list scans win mid K, and the O(1) alias-MH
-    /// proposals win once K outgrows the per-word topic lists (with M = 38
-    /// the lists are near-dense by K = 64, so the bucket scan is O(K)
-    /// again).
+    /// Largest topic count `Auto` sends to the dense kernel; above it,
+    /// alias-MH. Taken from a serial dense-against-alias run: one thread
+    /// (`hardware_threads` 2), binary documents of 50,000 generated
+    /// companies (400,298 tokens, M = 38), 12 sweeps, medians of 7
+    /// alternating fits, in ms a sweep, dense against alias:
+    /// K=40 61.1/65.3, K=48 62.1/67.7, K=52 73.9/69.3, K=56 75.7/68.6,
+    /// K=64 89.0/69.2.
+    pub const DENSE_MAX_TOPICS: usize = 48;
+
+    /// Resolves `Auto` to a concrete kernel for topic count `k`: the dense
+    /// fused pass up to [`SamplerChoice::DENSE_MAX_TOPICS`], whose per-token
+    /// scan grows with K, then the O(1) alias-MH proposals.
     pub fn resolve(self, k: usize) -> SamplerChoice {
         match self {
-            SamplerChoice::Auto => {
-                if k <= 16 {
-                    SamplerChoice::Dense
-                } else if k <= 64 {
-                    SamplerChoice::Bucket
-                } else {
-                    SamplerChoice::AliasMh
-                }
-            }
+            SamplerChoice::Auto if k <= Self::DENSE_MAX_TOPICS => SamplerChoice::Dense,
+            SamplerChoice::Auto => SamplerChoice::AliasMh,
             other => other,
         }
     }
@@ -60,7 +56,6 @@ impl SamplerChoice {
         match self {
             SamplerChoice::Auto => "auto",
             SamplerChoice::Dense => "dense",
-            SamplerChoice::Bucket => "bucket",
             SamplerChoice::AliasMh => "alias",
         }
     }
@@ -73,11 +68,9 @@ impl std::str::FromStr for SamplerChoice {
         match s {
             "auto" => Ok(SamplerChoice::Auto),
             "dense" => Ok(SamplerChoice::Dense),
-            "bucket" => Ok(SamplerChoice::Bucket),
             "alias" | "alias-mh" => Ok(SamplerChoice::AliasMh),
-            other => Err(format!(
-                "unknown sampler {other:?} (use auto|dense|bucket|alias)"
-            )),
+            "bucket" => Err("sampler \"bucket\" was removed; use auto, dense or alias".into()),
+            other => Err(format!("unknown sampler {other:?} (use auto|dense|alias)")),
         }
     }
 }

@@ -14,8 +14,8 @@
 //! * [`dist`] — random distributions (normal, gamma, beta, Dirichlet,
 //!   categorical with alias tables, Wishart, multivariate normal) built
 //!   directly on any [`rand::Rng`].
-//! * [`vector`] — free functions over `&[f64]` slices: dot products, norms,
-//!   Euclidean and cosine distances.
+//! * [`vector`] — free functions over `&[f64]` slices: dot products (plus an
+//!   `f32` one), norms, Euclidean and cosine distances.
 //!
 //! # Example
 //!
@@ -30,7 +30,6 @@
 
 pub mod cholesky;
 pub mod dist;
-pub mod fastmath;
 pub mod matrix;
 pub mod sparse;
 pub mod special;

@@ -344,12 +344,11 @@ impl LstmLm {
     /// Panics if the architectures differ.
     pub fn accumulate_grads(&mut self, other: &LstmLm) {
         // Gradient merges are plain sums on large buffers — the minibatch
-        // hot path — so they opt into the f32 fast-math axpy kernel. With
-        // the feature off this forwards to the exact f64 kernel, which is
+        // hot path — so they run the unrolled exact f64 axpy, which is
         // element-for-element identical to `Matrix::axpy`.
         fn merge(dst: &mut hlm_linalg::Matrix, src: &hlm_linalg::Matrix) {
             assert_eq!(dst.shape(), src.shape(), "axpy shape mismatch");
-            hlm_linalg::fastmath::axpy(dst.as_mut_slice(), 1.0, src.as_slice());
+            hlm_linalg::vector::axpy(dst.as_mut_slice(), 1.0, src.as_slice());
         }
         merge(&mut self.embedding.grad, &other.embedding.grad);
         assert_eq!(self.layers.len(), other.layers.len(), "layer count differs");
