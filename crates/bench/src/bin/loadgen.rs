@@ -41,7 +41,7 @@
 use hlm_core::representations::binary_docs;
 use hlm_core::DistanceMetric;
 use hlm_datagen::GeneratorConfig;
-use hlm_engine::{Engine, LdaEstimator, ServeOptions};
+use hlm_engine::{Engine, LdaEstimator, ServeOptions, TrainPlan};
 use hlm_lda::LdaConfig;
 use hlm_obs::json;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -450,7 +450,9 @@ fn self_host(companies: usize) -> (hlm_serve::ServerHandle, &'static str) {
         sample_lag: 5,
         ..Default::default()
     };
-    let model = hlm_engine::fit_lda(config, LdaEstimator::Gibbs, &docs).expect("LDA trains");
+    let model = hlm_engine::fit_lda_resilient(config, LdaEstimator::Gibbs, &docs, TrainPlan::new())
+        .expect("LDA trains")
+        .model;
     let engine = Arc::new(Engine::new(corpus));
     let opts = ServeOptions {
         request_budget_millis: Some(DEADLINE_MS),
@@ -472,7 +474,10 @@ fn self_host(companies: usize) -> (hlm_serve::ServerHandle, &'static str) {
     };
     let server =
         hlm_serve::Server::bind(config, engine, bundle, None).expect("server binds 127.0.0.1:0");
-    (server.start(), store_precision)
+    (
+        server.start().expect("server threads start"),
+        store_precision,
+    )
 }
 
 /// JSON string literal (esc() escapes but does not quote).

@@ -5,7 +5,7 @@ use crate::experiments::fig2_lda::train_lda;
 use crate::ExpScale;
 use hlm_chh::{ExactChh, StreamingChh};
 use hlm_core::{neighbor_label_agreement, DistanceMetric};
-use hlm_engine::{fit_lda, LdaEstimator, ModelSpec};
+use hlm_engine::{fit_lda_resilient, LdaEstimator, ModelSpec, TrainPlan};
 use hlm_eval::report::{fmt_f, Table};
 use hlm_lda::{document_completion_perplexity, LdaConfig};
 use hlm_ngram::NgramConfig;
@@ -32,7 +32,9 @@ pub fn lda_sweeps(scale: &ExpScale) -> Table {
             beta: 0.1,
             ..Default::default()
         };
-        let model = fit_lda(cfg, LdaEstimator::Gibbs, &train).expect("valid LDA spec");
+        let model = fit_lda_resilient(cfg, LdaEstimator::Gibbs, &train, TrainPlan::new())
+            .expect("valid LDA spec")
+            .model;
         t.add_row(vec![
             iters.to_string(),
             fmt_f(document_completion_perplexity(&model, &test), 3),
@@ -65,8 +67,9 @@ pub fn ngram_lambdas(scale: &ExpScale) -> Table {
             add_k: 0.5,
         };
         let ppl = ModelSpec::Ngram(cfg)
-            .fit_sequences(&train, &[])
+            .fit_sequences(&train, &[], TrainPlan::new())
             .expect("valid n-gram spec")
+            .model
             .perplexity(&test)
             .expect("n-grams support perplexity");
         t.add_row(vec![label.to_string(), fmt_f(ppl, 3)]);
@@ -91,8 +94,9 @@ pub fn chh_budget(scale: &ExpScale) -> Table {
         depth: 2,
         vocab_size: m,
     }
-    .fit_sequences(&seqs, &[])
-    .expect("valid CHH spec");
+    .fit_sequences(&seqs, &[], TrainPlan::new())
+    .expect("valid CHH spec")
+    .model;
     let exact = exact_trained
         .as_any()
         .downcast_ref::<ExactChh>()
@@ -121,8 +125,9 @@ pub fn chh_budget(scale: &ExpScale) -> Table {
             max_contexts: budget,
             counters_per_context: 8,
         }
-        .fit_sequences(&seqs, &[])
-        .expect("valid streaming CHH spec");
+        .fit_sequences(&seqs, &[], TrainPlan::new())
+        .expect("valid streaming CHH spec")
+        .model;
         let stream = stream_trained
             .as_any()
             .downcast_ref::<StreamingChh>()
@@ -281,7 +286,9 @@ pub fn lda_alpha(scale: &ExpScale) -> Table {
             optimize_alpha: optimize,
             ..base.clone()
         };
-        let model = fit_lda(cfg, LdaEstimator::Gibbs, &train).expect("valid LDA spec");
+        let model = fit_lda_resilient(cfg, LdaEstimator::Gibbs, &train, TrainPlan::new())
+            .expect("valid LDA spec")
+            .model;
         t.add_row(vec![
             label.to_string(),
             fmt_f(model.alpha(), 4),
@@ -309,8 +316,12 @@ pub fn gibbs_vs_vb(scale: &ExpScale) -> Table {
         beta: 0.1,
         ..Default::default()
     };
-    let gibbs = fit_lda(cfg.clone(), LdaEstimator::Gibbs, &train).expect("valid LDA spec");
-    let vb = fit_lda(cfg, LdaEstimator::Vb, &train).expect("valid LDA spec");
+    let gibbs = fit_lda_resilient(cfg.clone(), LdaEstimator::Gibbs, &train, TrainPlan::new())
+        .expect("valid LDA spec")
+        .model;
+    let vb = fit_lda_resilient(cfg, LdaEstimator::Vb, &train, TrainPlan::new())
+        .expect("valid LDA spec")
+        .model;
     let mut t = Table::new(
         "Ablation — LDA estimator: collapsed Gibbs vs variational Bayes (3 topics)",
         &["estimator", "test perplexity"],
@@ -365,7 +376,10 @@ pub fn gru_vs_lstm(scale: &ExpScale) -> Table {
             },
             seed: scale.seed,
         };
-        let trained = spec.fit_sequences(&train, &valid).expect("valid LSTM spec");
+        let trained = spec
+            .fit_sequences(&train, &valid, TrainPlan::new())
+            .expect("valid LSTM spec")
+            .model;
         let params = trained
             .as_any()
             .downcast_ref::<LstmLm>()

@@ -6,7 +6,7 @@
 
 use crate::ExpScale;
 use hlm_corpus::Corpus;
-use hlm_engine::ModelSpec;
+use hlm_engine::{ModelSpec, TrainPlan};
 use hlm_eval::report::{fmt_f, Table};
 use hlm_lstm::{AdamOptions, LstmConfig, TrainOptions};
 
@@ -74,7 +74,10 @@ pub fn train_and_eval(
     test: &[Vec<usize>],
 ) -> f64 {
     let spec = lstm_spec(scale, vocab_size, nodes, layers, scale.lstm_epochs);
-    let model = spec.fit_sequences(train, valid).expect("valid LSTM spec");
+    let model = spec
+        .fit_sequences(train, valid, TrainPlan::new())
+        .expect("valid LSTM spec")
+        .model;
     model.perplexity(test).expect("LSTM supports perplexity")
 }
 
@@ -177,8 +180,9 @@ mod tests {
         let m = corpus.vocab().len();
 
         let untrained = lstm_spec(&scale, m, 64, 1, 0)
-            .fit_sequences(&train, &[])
+            .fit_sequences(&train, &[], TrainPlan::new())
             .expect("valid spec")
+            .model
             .perplexity(&test)
             .expect("LSTM supports perplexity");
         let trained = train_and_eval(&scale, m, 64, 1, &train, &[], &test);

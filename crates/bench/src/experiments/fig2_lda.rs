@@ -7,7 +7,7 @@
 use crate::ExpScale;
 use hlm_corpus::tfidf::TfIdf;
 use hlm_corpus::Corpus;
-use hlm_engine::LdaEstimator;
+use hlm_engine::{LdaEstimator, TrainPlan};
 use hlm_eval::report::{fmt_f, Table};
 use hlm_lda::{document_completion_perplexity, LdaConfig, LdaModel, WeightedDoc};
 
@@ -32,7 +32,9 @@ pub fn train_lda(
         beta: 0.1,
         ..Default::default()
     };
-    hlm_engine::fit_lda(config, LdaEstimator::Gibbs, docs).expect("valid LDA spec")
+    hlm_engine::fit_lda_resilient(config, LdaEstimator::Gibbs, docs, TrainPlan::new())
+        .expect("valid LDA spec")
+        .model
 }
 
 /// Raw data point of the sweep.

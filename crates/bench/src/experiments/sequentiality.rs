@@ -5,7 +5,7 @@
 
 use crate::experiments::fig1_lstm::sequences;
 use crate::ExpScale;
-use hlm_engine::ModelSpec;
+use hlm_engine::{ModelSpec, TrainPlan};
 use hlm_eval::report::{fmt_f, Table};
 use hlm_eval::sequentiality_report;
 use hlm_ngram::NgramConfig;
@@ -13,8 +13,9 @@ use hlm_ngram::NgramConfig;
 /// Test perplexity of one n-gram configuration, trained via the engine.
 fn ngram_perplexity(cfg: NgramConfig, train: &[Vec<usize>], test: &[Vec<usize>]) -> f64 {
     ModelSpec::Ngram(cfg)
-        .fit_sequences(train, &[])
+        .fit_sequences(train, &[], TrainPlan::new())
         .expect("valid n-gram spec")
+        .model
         .perplexity(test)
         .expect("n-grams support perplexity")
 }

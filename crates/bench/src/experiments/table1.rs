@@ -4,7 +4,7 @@
 
 use crate::experiments::{fig1_lstm, fig2_lda};
 use crate::ExpScale;
-use hlm_engine::ModelSpec;
+use hlm_engine::{ModelSpec, TrainPlan};
 use hlm_eval::report::{fmt_f, Table};
 use hlm_lda::document_completion_perplexity;
 use hlm_ngram::NgramConfig;
@@ -54,8 +54,9 @@ pub fn compute(scale: &ExpScale) -> Vec<MethodResult> {
     let m = corpus.vocab().len();
     let ngram_ppl = |cfg: NgramConfig| {
         ModelSpec::Ngram(cfg)
-            .fit_sequences(&train_seqs, &[])
+            .fit_sequences(&train_seqs, &[], TrainPlan::new())
             .expect("valid n-gram spec")
+            .model
             .perplexity(&test_seqs)
             .expect("n-grams support perplexity")
     };

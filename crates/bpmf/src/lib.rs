@@ -85,14 +85,32 @@ impl Default for BpmfConfig {
 }
 
 impl BpmfConfig {
+    /// Checks internal consistency, returning the reason a setting no
+    /// sampler can run with is rejected.
+    ///
+    /// # Errors
+    /// The first nonsensical setting, described.
+    pub fn check(&self) -> Result<(), String> {
+        let rules = [
+            (self.n_factors >= 1, "need at least one factor"),
+            (
+                self.alpha > 0.0 && self.beta0 > 0.0 && self.w0_scale > 0.0,
+                "alpha, beta0 and w0_scale must be positive",
+            ),
+            (self.n_iters > self.burn_in, "n_iters must exceed burn_in"),
+        ];
+        rules
+            .iter()
+            .find(|(ok, _)| !ok)
+            .map_or(Ok(()), |(_, reason)| Err(reason.to_string()))
+    }
+
     /// Checks internal consistency.
     ///
     /// # Panics
-    /// Panics on nonsensical settings.
+    /// Panics on nonsensical settings (see [`BpmfConfig::check`]).
     pub fn validate(&self) {
-        assert!(self.n_factors >= 1, "need at least one factor");
-        assert!(self.alpha > 0.0 && self.beta0 > 0.0 && self.w0_scale > 0.0);
-        assert!(self.n_iters > self.burn_in, "n_iters must exceed burn_in");
+        self.check().unwrap_or_else(|reason| panic!("{reason}"));
     }
 }
 

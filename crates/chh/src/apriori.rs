@@ -51,16 +51,27 @@ impl Default for AprioriConfig {
 }
 
 impl AprioriConfig {
-    fn validate(&self) {
-        assert!(
-            self.min_support > 0.0 && self.min_support <= 1.0,
-            "min_support must be in (0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.min_confidence),
-            "min_confidence must be in [0, 1]"
-        );
-        assert!(self.max_len >= 2, "rules need itemsets of at least 2");
+    /// Checks the thresholds, returning the reason no rules can be mined
+    /// with them.
+    ///
+    /// # Errors
+    /// The first invalid threshold, described.
+    pub fn check(&self) -> Result<(), String> {
+        let rules = [
+            (
+                self.min_support > 0.0 && self.min_support <= 1.0,
+                "min_support must be in (0, 1]",
+            ),
+            (
+                (0.0..=1.0).contains(&self.min_confidence),
+                "min_confidence must be in [0, 1]",
+            ),
+            (self.max_len >= 2, "rules need itemsets of at least 2"),
+        ];
+        rules
+            .iter()
+            .find(|(ok, _)| !ok)
+            .map_or(Ok(()), |(_, reason)| Err(reason.to_string()))
     }
 }
 
@@ -87,7 +98,7 @@ impl AprioriModel {
     /// Panics on invalid configuration, an empty basket list, or items
     /// outside the vocabulary.
     pub fn mine(vocab_size: usize, baskets: &[Vec<usize>], cfg: &AprioriConfig) -> Self {
-        cfg.validate();
+        cfg.check().unwrap_or_else(|reason| panic!("{reason}"));
         assert!(!baskets.is_empty(), "need at least one basket");
         let n = baskets.len() as f64;
         let sets: Vec<HashSet<usize>> = baskets

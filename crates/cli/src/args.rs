@@ -18,14 +18,6 @@ pub struct TrainFlags {
     pub abort_at: Option<u64>,
 }
 
-impl TrainFlags {
-    /// True when any resilience option was given (the plain fast path is
-    /// used otherwise).
-    pub fn is_active(&self) -> bool {
-        self != &TrainFlags::default()
-    }
-}
-
 /// Options for the long-running `hlm serve` subcommand.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeFlags {
@@ -745,7 +737,6 @@ mod tests {
         match cmd {
             Command::Topics { flags, .. } => {
                 assert_eq!(flags, TrainFlags::default());
-                assert!(!flags.is_active());
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -769,7 +760,6 @@ mod tests {
                 assert!(flags.resume);
                 assert_eq!(flags.max_seconds, Some(30));
                 assert_eq!(flags.abort_at, Some(12));
-                assert!(flags.is_active());
             }
             other => panic!("wrong command {other:?}"),
         }

@@ -338,12 +338,6 @@ fn train_lda(
         sampler,
         ..Default::default()
     };
-    if !flags.is_active() {
-        return hlm_engine::fit_lda(config, LdaEstimator::Gibbs, &docs)
-            .map(|m| (m, Vec::new()))
-            .map_err(engine_err);
-    }
-
     let plan = build_plan(flags)?;
     let fit = hlm_engine::fit_lda_resilient(config, LdaEstimator::Gibbs, &docs, plan)
         .map_err(engine_err)?;
@@ -680,7 +674,9 @@ pub fn serve_until(
     println!("serving {label} (generation {generation}) on http://{addr} — SIGTERM drains");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    server.run(stop);
+    server
+        .run(stop)
+        .map_err(|e| CliError::Engine(format!("cannot start the server's threads: {e}")))?;
     Ok(format!("server on {addr} drained cleanly\n"))
 }
 

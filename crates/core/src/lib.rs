@@ -7,11 +7,11 @@
 //! * [`representations`] — builds the company feature matrices `B_i`
 //!   compared in Figure 7: raw binary, raw TF-IDF, LDA topic mixtures (with
 //!   binary or TF-IDF input) and LSTM hidden-state embeddings;
-//! * [`recommenders`] — adapters implementing the evaluation harness's
-//!   [`hlm_eval::Recommender`] / [`hlm_eval::RecommenderFactory`] traits for
-//!   LDA, LSTM, n-gram and CHH models, plus the dedicated BPMF evaluation of
-//!   Figures 5–6 (BPMF scores are per company-cell, not per history, so it
-//!   has its own protocol);
+//! * [`recommenders`] — LDA's masked next-product scores and the dedicated
+//!   BPMF evaluation of Figures 5–6 (BPMF scores are per company-cell, not
+//!   per history, so it has its own protocol). Every history-conditioned
+//!   family meets the evaluation harness's [`hlm_eval::RecommenderFactory`]
+//!   through `hlm_engine::ModelSpec::factory`;
 //! * [`similarity`] — top-k similar-company search over any representation,
 //!   with the popularity-bias diagnostic motivating learned features
 //!   (Section 3.1);
@@ -39,13 +39,13 @@
 //! use hlm_core::representations::lda_representations;
 //! use hlm_core::{CompanyFilter, DistanceMetric};
 //! use hlm_datagen::GeneratorConfig;
-//! use hlm_engine::{Engine, LdaEstimator};
+//! use hlm_engine::{Engine, LdaEstimator, TrainPlan};
 //! use hlm_lda::LdaConfig;
 //!
 //! let corpus = hlm_datagen::generate(&GeneratorConfig::with_size_and_seed(200, 1));
 //! let ids: Vec<_> = corpus.ids().collect();
 //! let docs = hlm_core::representations::binary_docs(&corpus, &ids);
-//! let lda = hlm_engine::fit_lda(
+//! let lda = hlm_engine::fit_lda_resilient(
 //!     LdaConfig {
 //!         n_topics: 3,
 //!         vocab_size: corpus.vocab().len(),
@@ -55,8 +55,10 @@
 //!     },
 //!     LdaEstimator::Gibbs,
 //!     &docs,
+//!     TrainPlan::new(),
 //! )
-//! .expect("valid LDA spec");
+//! .expect("valid LDA spec")
+//! .model;
 //! let b = lda_representations(&lda, &docs);
 //!
 //! let engine = Engine::new(corpus);
@@ -79,10 +81,7 @@ pub use app::{CompanyFilter, SalesApplication, WhitespaceRecommendation};
 pub use cache::ServingCache;
 pub use error::CoreError;
 pub use index::ClusteredIndex;
-pub use recommenders::{
-    evaluate_bpmf, masked_lda_scores, AprioriRecommenderFactory, BpmfEvaluation,
-    ChhRecommenderFactory, LdaRecommenderFactory, LstmRecommenderFactory, NgramRecommenderFactory,
-};
+pub use recommenders::{evaluate_bpmf, masked_lda_scores, BpmfEvaluation};
 pub use repstore::{PreparedQuery, RepStore, StorePrecision};
 pub use similarity::{
     bounded_top_k, neighbor_label_agreement, popularity_bias, top_k_similar, top_k_similar_scalar,

@@ -1,62 +1,24 @@
-//! Recommender adapters: every model family behind the evaluation harness's
-//! [`Recommender`] / [`RecommenderFactory`] traits, plus the dedicated BPMF
-//! protocol of Figures 5–6.
+//! LDA's masked next-product scores, which the engine's LDA model answers
+//! recommendations with, plus the dedicated BPMF protocol of Figures 5–6.
 //!
-//! A factory's `train(corpus, train_ids, cutoff)` sees only install-base
-//! events strictly before `cutoff` — "all the previous information that
-//! happened before the start of a sliding window is used for model
-//! training" (Section 4.3).
+//! Every history-conditioned family reaches the evaluation harness's
+//! [`hlm_eval::RecommenderFactory`] through `hlm_engine::ModelSpec::factory`,
+//! which trains on install-base events strictly before each window's cutoff
+//! — "all the previous information that happened before the start of a
+//! sliding window is used for model training" (Section 4.3).
 
 use hlm_bpmf::{BpmfConfig, Rating};
-use hlm_chh::ExactChh;
 use hlm_corpus::{CompanyId, Corpus, Month, TimeWindow};
 use hlm_eval::stats::mean_ci;
-use hlm_eval::{Recommender, RecommenderFactory, ThresholdPoint};
-use hlm_lda::{GibbsTrainer, LdaConfig, LdaModel, WeightedDoc};
-use hlm_lstm::{LstmConfig, LstmLm, TrainOptions, Trainer};
-use hlm_ngram::{NgramConfig, NgramLm};
+use hlm_eval::ThresholdPoint;
+use hlm_lda::{LdaModel, WeightedDoc};
 use serde::{Deserialize, Serialize};
-
-/// Product sets before a cutoff, as unit-weight LDA documents.
-fn docs_before(corpus: &Corpus, ids: &[CompanyId], cutoff: Month) -> Vec<WeightedDoc> {
-    ids.iter()
-        .map(|&id| {
-            let mut doc: Vec<(usize, f64)> = corpus
-                .company(id)
-                .sequence_before(cutoff)
-                .into_iter()
-                .map(|p| (p.index(), 1.0))
-                .collect();
-            doc.sort_unstable_by_key(|&(w, _)| w);
-            doc
-        })
-        .collect()
-}
-
-/// Acquisition sequences before a cutoff.
-fn sequences_before(corpus: &Corpus, ids: &[CompanyId], cutoff: Month) -> Vec<Vec<usize>> {
-    ids.iter()
-        .map(|&id| {
-            corpus
-                .company(id)
-                .sequence_before(cutoff)
-                .into_iter()
-                .map(|p| p.index())
-                .collect()
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// LDA
-// ---------------------------------------------------------------------------
 
 /// Fold-in predictive scores for the next *new* product under an LDA model.
 ///
 /// Install bases are sets: the predictive mass on already-owned products is
 /// structurally dead, so the distribution is masked to the unowned support
-/// and renormalized (mirroring the document-completion perplexity). Shared by
-/// [`LdaRecommenderFactory`] and the engine layer's LDA wrapper.
+/// and renormalized (mirroring the document-completion perplexity).
 pub fn masked_lda_scores(model: &LdaModel, history: &[usize]) -> Vec<f64> {
     let doc: WeightedDoc = history.iter().map(|&w| (w, 1.0)).collect();
     let mut scores = model.predict_products(&doc);
@@ -68,261 +30,6 @@ pub fn masked_lda_scores(model: &LdaModel, history: &[usize]) -> Vec<f64> {
         scores.iter_mut().for_each(|x| *x /= s);
     }
     scores
-}
-
-/// Trains an LDA model per cutoff and scores via the fold-in predictive
-/// mixture `Σ_k θ_k φ_kp` (the "LDA3" recommender when `n_topics = 3`).
-#[derive(Debug, Clone)]
-pub struct LdaRecommenderFactory {
-    /// LDA settings (topic count, sweeps, priors).
-    pub config: LdaConfig,
-    label: String,
-}
-
-impl LdaRecommenderFactory {
-    /// Creates a factory; the label defaults to `LDA<k>`.
-    pub fn new(config: LdaConfig) -> Self {
-        let label = format!("LDA{}", config.n_topics);
-        LdaRecommenderFactory { config, label }
-    }
-}
-
-struct LdaRecommender {
-    model: LdaModel,
-    label: String,
-}
-
-impl Recommender for LdaRecommender {
-    fn scores(&self, history: &[usize]) -> Vec<f64> {
-        masked_lda_scores(&self.model, history)
-    }
-
-    fn name(&self) -> &str {
-        &self.label
-    }
-}
-
-impl RecommenderFactory for LdaRecommenderFactory {
-    fn train(
-        &self,
-        corpus: &Corpus,
-        train_ids: &[CompanyId],
-        cutoff: Month,
-    ) -> Box<dyn Recommender> {
-        let docs = docs_before(corpus, train_ids, cutoff);
-        let model = GibbsTrainer::new(self.config.clone()).fit(&docs);
-        Box::new(LdaRecommender {
-            model,
-            label: self.label.clone(),
-        })
-    }
-
-    fn name(&self) -> &str {
-        &self.label
-    }
-}
-
-// ---------------------------------------------------------------------------
-// LSTM
-// ---------------------------------------------------------------------------
-
-/// Trains an LSTM language model per cutoff and scores via the next-product
-/// distribution.
-#[derive(Debug, Clone)]
-pub struct LstmRecommenderFactory {
-    /// Architecture.
-    pub config: LstmConfig,
-    /// Training schedule.
-    pub train: TrainOptions,
-    /// Model init seed.
-    pub seed: u64,
-}
-
-struct LstmRecommender {
-    model: LstmLm,
-}
-
-impl Recommender for LstmRecommender {
-    fn scores(&self, history: &[usize]) -> Vec<f64> {
-        self.model.predict_next(history)
-    }
-
-    fn name(&self) -> &str {
-        "LSTM"
-    }
-}
-
-impl RecommenderFactory for LstmRecommenderFactory {
-    fn train(
-        &self,
-        corpus: &Corpus,
-        train_ids: &[CompanyId],
-        cutoff: Month,
-    ) -> Box<dyn Recommender> {
-        let seqs: Vec<Vec<usize>> = sequences_before(corpus, train_ids, cutoff)
-            .into_iter()
-            .filter(|s| !s.is_empty())
-            .collect();
-        let mut model = LstmLm::new(self.config.clone(), self.seed);
-        Trainer::new(self.train.clone()).fit(&mut model, &seqs, &[]);
-        Box::new(LstmRecommender { model })
-    }
-
-    fn name(&self) -> &str {
-        "LSTM"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// N-gram
-// ---------------------------------------------------------------------------
-
-/// Trains an interpolated n-gram model per cutoff (sequential association
-/// rules).
-#[derive(Debug, Clone)]
-pub struct NgramRecommenderFactory {
-    /// N-gram settings.
-    pub config: NgramConfig,
-    label: String,
-}
-
-impl NgramRecommenderFactory {
-    /// Creates a factory; the label defaults to `<order>-gram`.
-    pub fn new(config: NgramConfig) -> Self {
-        let label = format!("{}-gram", config.order);
-        NgramRecommenderFactory { config, label }
-    }
-}
-
-struct NgramRecommender {
-    model: NgramLm,
-    label: String,
-}
-
-impl Recommender for NgramRecommender {
-    fn scores(&self, history: &[usize]) -> Vec<f64> {
-        self.model.predict_next(history)
-    }
-
-    fn name(&self) -> &str {
-        &self.label
-    }
-}
-
-impl RecommenderFactory for NgramRecommenderFactory {
-    fn train(
-        &self,
-        corpus: &Corpus,
-        train_ids: &[CompanyId],
-        cutoff: Month,
-    ) -> Box<dyn Recommender> {
-        let seqs = sequences_before(corpus, train_ids, cutoff);
-        let model = NgramLm::fit(self.config.clone(), &seqs);
-        Box::new(NgramRecommender {
-            model,
-            label: self.label.clone(),
-        })
-    }
-
-    fn name(&self) -> &str {
-        &self.label
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Conditional Heavy Hitters
-// ---------------------------------------------------------------------------
-
-/// Trains exact Conditional Heavy Hitters per cutoff; the paper's context
-/// depth is 2.
-#[derive(Debug, Clone)]
-pub struct ChhRecommenderFactory {
-    /// Context depth (paper: 2).
-    pub depth: usize,
-}
-
-struct ChhRecommender {
-    model: ExactChh,
-}
-
-impl Recommender for ChhRecommender {
-    fn scores(&self, history: &[usize]) -> Vec<f64> {
-        self.model.predict_next(history)
-    }
-
-    fn name(&self) -> &str {
-        "CHH"
-    }
-}
-
-impl RecommenderFactory for ChhRecommenderFactory {
-    fn train(
-        &self,
-        corpus: &Corpus,
-        train_ids: &[CompanyId],
-        cutoff: Month,
-    ) -> Box<dyn Recommender> {
-        let seqs = sequences_before(corpus, train_ids, cutoff);
-        let model = ExactChh::fit(self.depth, corpus.vocab().len(), &seqs);
-        Box::new(ChhRecommender { model })
-    }
-
-    fn name(&self) -> &str {
-        "CHH"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Apriori association rules
-// ---------------------------------------------------------------------------
-
-/// Trains classic Apriori association rules per cutoff (Section 3.2's
-/// time-agnostic pattern-mining baseline). Scores are the maximum rule
-/// confidence whose antecedent the history satisfies.
-#[derive(Debug, Clone)]
-pub struct AprioriRecommenderFactory {
-    /// Mining thresholds.
-    pub config: hlm_chh::AprioriConfig,
-}
-
-struct AprioriRecommender {
-    model: hlm_chh::AprioriModel,
-}
-
-impl Recommender for AprioriRecommender {
-    fn scores(&self, history: &[usize]) -> Vec<f64> {
-        self.model.predict(history)
-    }
-
-    fn name(&self) -> &str {
-        "Apriori"
-    }
-}
-
-impl RecommenderFactory for AprioriRecommenderFactory {
-    fn train(
-        &self,
-        corpus: &Corpus,
-        train_ids: &[CompanyId],
-        cutoff: Month,
-    ) -> Box<dyn Recommender> {
-        let baskets: Vec<Vec<usize>> = sequences_before(corpus, train_ids, cutoff)
-            .into_iter()
-            .filter(|b| !b.is_empty())
-            .collect();
-        let model = if baskets.is_empty() {
-            // No history at all: mine a degenerate single-basket model so
-            // prediction returns zeros rather than panicking.
-            hlm_chh::AprioriModel::mine(corpus.vocab().len(), &[vec![0]], &self.config)
-        } else {
-            hlm_chh::AprioriModel::mine(corpus.vocab().len(), &baskets, &self.config)
-        };
-        Box::new(AprioriRecommender { model })
-    }
-
-    fn name(&self) -> &str {
-        "Apriori"
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -481,8 +188,10 @@ pub fn evaluate_bpmf(
 mod tests {
     use super::*;
     use hlm_datagen::GeneratorConfig;
-    use hlm_eval::{evaluate_recommender, RecEvalConfig};
-    use hlm_lstm::AdamOptions;
+    use hlm_engine::{AprioriConfig, LdaEstimator, ModelSpec, NgramConfig};
+    use hlm_eval::{evaluate_recommender, RecEvalConfig, RecommenderFactory};
+    use hlm_lda::LdaConfig;
+    use hlm_lstm::{AdamOptions, LstmConfig, TrainOptions};
 
     fn corpus() -> Corpus {
         hlm_datagen::generate(&GeneratorConfig::with_size_and_seed(250, 3))
@@ -497,14 +206,22 @@ mod tests {
         }
     }
 
-    fn quick_lda_factory(k: usize) -> LdaRecommenderFactory {
-        LdaRecommenderFactory::new(LdaConfig {
-            n_topics: k,
-            vocab_size: 38,
-            n_iters: 40,
-            burn_in: 20,
-            sample_lag: 5,
-            ..Default::default()
+    fn factory(spec: ModelSpec) -> Box<dyn RecommenderFactory> {
+        spec.factory()
+            .expect("the spec has a sliding-window factory")
+    }
+
+    fn quick_lda_factory(k: usize) -> Box<dyn RecommenderFactory> {
+        factory(ModelSpec::Lda {
+            config: LdaConfig {
+                n_topics: k,
+                vocab_size: 38,
+                n_iters: 40,
+                burn_in: 20,
+                sample_lag: 5,
+                ..Default::default()
+            },
+            estimator: LdaEstimator::Gibbs,
         })
     }
 
@@ -513,7 +230,8 @@ mod tests {
         let c = corpus();
         let ids: Vec<CompanyId> = c.ids().collect();
         let (train, test) = ids.split_at(180);
-        let pts = evaluate_recommender(&quick_lda_factory(3), &c, train, test, &quick_eval_cfg());
+        let lda = quick_lda_factory(3);
+        let pts = evaluate_recommender(lda.as_ref(), &c, train, test, &quick_eval_cfg());
         assert_eq!(pts.len(), 5);
         // Retrieval shrinks with the threshold; recall at phi=0 is 1 (every
         // unowned product retrieved).
@@ -532,9 +250,12 @@ mod tests {
         let c = corpus();
         let ids: Vec<CompanyId> = c.ids().collect();
         let (train, test) = ids.split_at(180);
-        let factory = ChhRecommenderFactory { depth: 2 };
+        let factory = factory(ModelSpec::ChhExact {
+            depth: 2,
+            vocab_size: 38,
+        });
         assert_eq!(factory.name(), "CHH");
-        let pts = evaluate_recommender(&factory, &c, train, test, &quick_eval_cfg());
+        let pts = evaluate_recommender(factory.as_ref(), &c, train, test, &quick_eval_cfg());
         // CHH must retrieve something at low thresholds and be better than
         // random guessing on precision at phi = 0.1.
         assert!(pts[2].retrieved.mean > 0.0);
@@ -551,9 +272,9 @@ mod tests {
         let c = corpus();
         let ids: Vec<CompanyId> = c.ids().collect();
         let (train, test) = ids.split_at(180);
-        let factory = NgramRecommenderFactory::new(NgramConfig::bigram(38));
+        let factory = factory(ModelSpec::Ngram(NgramConfig::bigram(38)));
         assert_eq!(factory.name(), "2-gram");
-        let pts = evaluate_recommender(&factory, &c, train, test, &quick_eval_cfg());
+        let pts = evaluate_recommender(factory.as_ref(), &c, train, test, &quick_eval_cfg());
         assert!(pts[0].recall.mean > 0.99);
         assert!(pts[1].retrieved.mean > 0.0);
     }
@@ -563,7 +284,7 @@ mod tests {
         let c = corpus();
         let ids: Vec<CompanyId> = c.ids().collect();
         let (train, test) = ids.split_at(180);
-        let factory = LstmRecommenderFactory {
+        let factory = factory(ModelSpec::Lstm {
             config: LstmConfig {
                 vocab_size: 38,
                 hidden_size: 10,
@@ -581,8 +302,14 @@ mod tests {
                 ..Default::default()
             },
             seed: 11,
-        };
-        let pts = evaluate_recommender(&factory, &c, &train[..120], &test[..40], &quick_eval_cfg());
+        });
+        let pts = evaluate_recommender(
+            factory.as_ref(),
+            &c,
+            &train[..120],
+            &test[..40],
+            &quick_eval_cfg(),
+        );
         assert!(pts[0].recall.mean > 0.99);
         // Distributions over 38 products: thresholding at 0.9 kills recall.
         assert!(pts[4].recall.mean < 0.2);
@@ -633,15 +360,16 @@ mod tests {
         let c = corpus();
         let ids: Vec<CompanyId> = c.ids().collect();
         let (train, test) = ids.split_at(180);
-        let factory = AprioriRecommenderFactory {
-            config: hlm_chh::AprioriConfig {
+        let factory = factory(ModelSpec::Apriori {
+            config: AprioriConfig {
                 min_support: 0.03,
                 min_confidence: 0.1,
                 max_len: 3,
             },
-        };
+            vocab_size: 38,
+        });
         assert_eq!(factory.name(), "Apriori");
-        let pts = evaluate_recommender(&factory, &c, train, test, &quick_eval_cfg());
+        let pts = evaluate_recommender(factory.as_ref(), &c, train, test, &quick_eval_cfg());
         // Rules fire: something is retrieved at low thresholds.
         assert!(pts[2].retrieved.mean > 0.0, "rules should fire");
         // The right baseline is the empirical base rate — the precision of
@@ -671,7 +399,10 @@ mod tests {
         // panic (empty docs) and the CHH model knows nothing.
         let c = corpus();
         let ids: Vec<CompanyId> = c.ids().take(30).collect();
-        let chh = ChhRecommenderFactory { depth: 2 };
+        let chh = factory(ModelSpec::ChhExact {
+            depth: 2,
+            vocab_size: 38,
+        });
         let model = chh.train(&c, &ids, Month::from_ym(1980, 1));
         assert_eq!(model.scores(&[0, 1]), vec![0.0; 38]);
     }

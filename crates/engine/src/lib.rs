@@ -9,13 +9,15 @@
 //!
 //! * [`ModelKind`] — the closed set of model families, parseable from the
 //!   strings a CLI or config file would carry;
-//! * [`ModelSpec`] — a *validated* configuration for one family, convertible
-//!   into either a sliding-window [`RecommenderFactory`] (delegating to the
-//!   adapters in [`hlm_core::recommenders`]) or a concrete trained model;
-//! * [`TrainedModel`] — the trait object returned by [`ModelSpec::fit_sequences`]
-//!   / [`Engine::train`], exposing `recommend` and `perplexity` uniformly and
-//!   the concrete model via [`TrainedModel::as_any`] for family-specific
-//!   diagnostics (topic inspection, heavy-hitter counts, …).
+//! * [`ModelSpec`] — a *validated* configuration for one family. Each family
+//!   trains one way: [`ModelSpec::fit_sequences`] on explicit sequences, and
+//!   on the companies' history before a cutoff through one function shared
+//!   by [`Engine::train`] and the sliding-window [`RecommenderFactory`] that
+//!   [`ModelSpec::factory`] returns;
+//! * [`TrainedModel`] — the trait object those paths return, exposing
+//!   `recommend` and `perplexity` uniformly and the concrete model via
+//!   [`TrainedModel::as_any`] for family-specific diagnostics (topic
+//!   inspection, heavy-hitter counts, …).
 //!
 //! Invalid input surfaces as a typed [`EngineError`] rather than a panic, so
 //! a server built on the engine can turn bad requests into error responses.
@@ -23,12 +25,12 @@
 //! with every [`SalesApplication`] it spawns — one copy of the install-base
 //! data regardless of how many serving surfaces are open.
 
-use hlm_chh::{AprioriConfig, AprioriModel, ExactChh, StreamingChh};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+pub use hlm_chh::AprioriConfig;
+use hlm_chh::{AprioriModel, ExactChh, StreamingChh};
 use hlm_core::app::SalesApplication;
-use hlm_core::recommenders::{
-    masked_lda_scores, AprioriRecommenderFactory, ChhRecommenderFactory, LdaRecommenderFactory,
-    LstmRecommenderFactory, NgramRecommenderFactory,
-};
+use hlm_core::recommenders::masked_lda_scores;
 use hlm_core::similarity::DistanceMetric;
 use hlm_core::CoreError;
 pub use hlm_core::{RepStore, StorePrecision};
@@ -42,7 +44,8 @@ use hlm_lda::{
 };
 use hlm_linalg::Matrix;
 use hlm_lstm::{LstmConfig, LstmLm, TrainOptions, Trainer};
-use hlm_ngram::{NgramConfig, NgramLm};
+pub use hlm_ngram::NgramConfig;
+use hlm_ngram::NgramLm;
 pub use hlm_par::{effective_threads, par_threshold, set_par_threshold, set_threads};
 pub use hlm_resilience::{
     CancelHandle, Checkpoint, CheckpointStore, Clock, CollapsePolicy, Fault, FaultPlan,
@@ -304,79 +307,64 @@ impl ModelSpec {
         }
     }
 
-    /// Checks the spec for parameters no model can be trained with.
+    /// Checks the spec for parameters no model can be trained with: the
+    /// family config's own check (the one its constructors assert), plus
+    /// the budgets that live on the spec itself.
     ///
     /// # Errors
     /// [`EngineError::InvalidSpec`] naming the offending parameter.
     pub fn validate(&self) -> Result<(), EngineError> {
-        let invalid = |reason: String| Err(EngineError::InvalidSpec { reason });
-        match self {
-            ModelSpec::Ngram(cfg) => {
-                if cfg.order == 0 {
-                    return invalid("n-gram order must be at least 1".into());
-                }
-                if cfg.vocab_size == 0 {
-                    return invalid("n-gram vocabulary must be non-empty".into());
-                }
-            }
-            ModelSpec::Lda { config, .. } => {
-                if config.n_topics == 0 {
-                    return invalid("LDA needs at least one topic".into());
-                }
-                if config.vocab_size == 0 {
-                    return invalid("LDA vocabulary must be non-empty".into());
-                }
-            }
-            ModelSpec::Lstm { config, .. } => {
-                if config.vocab_size == 0 {
-                    return invalid("LSTM vocabulary must be non-empty".into());
-                }
-                if config.hidden_size == 0 || config.n_layers == 0 {
-                    return invalid("LSTM needs at least one hidden unit and one layer".into());
-                }
-            }
-            ModelSpec::ChhExact { vocab_size, .. } => {
-                if *vocab_size == 0 {
-                    return invalid("CHH vocabulary must be non-empty".into());
-                }
-            }
+        let nonempty = |vocab_size: usize| match vocab_size {
+            0 => Err("empty vocabulary".to_string()),
+            _ => Ok(()),
+        };
+        let checked = match self {
+            ModelSpec::Ngram(cfg) => cfg.check(),
+            ModelSpec::Lda { config, .. } => config.check(),
+            ModelSpec::Lstm { config, train, .. } => config.check().and_then(|()| train.check()),
+            ModelSpec::ChhExact { vocab_size, .. } => nonempty(*vocab_size),
             ModelSpec::ChhStreaming {
                 vocab_size,
                 max_contexts,
                 counters_per_context,
                 ..
-            } => {
-                if *vocab_size == 0 {
-                    return invalid("CHH vocabulary must be non-empty".into());
-                }
+            } => nonempty(*vocab_size).and_then(|()| {
                 if *max_contexts == 0 || *counters_per_context == 0 {
-                    return invalid(format!(
+                    Err(format!(
                         "streaming CHH budgets must be positive \
                          (max_contexts={max_contexts}, counters={counters_per_context})"
-                    ));
+                    ))
+                } else {
+                    Ok(())
                 }
-            }
+            }),
             ModelSpec::Apriori { config, vocab_size } => {
-                if *vocab_size == 0 {
-                    return invalid("Apriori vocabulary must be non-empty".into());
-                }
-                if config.max_len == 0 {
-                    return invalid("Apriori max_len must be at least 1".into());
-                }
+                nonempty(*vocab_size).and_then(|()| config.check())
             }
-            ModelSpec::Bpmf(cfg) => {
-                if cfg.n_factors == 0 {
-                    return invalid("BPMF needs at least one latent factor".into());
-                }
-            }
+            ModelSpec::Bpmf(cfg) => cfg.check(),
+        };
+        checked.map_err(|reason| EngineError::InvalidSpec {
+            reason: format!("{}: {reason}", self.kind()),
+        })
+    }
+
+    /// Number of products the spec scores over (`None` for BPMF, which
+    /// scores `(company, product)` cells).
+    fn vocab_size(&self) -> Option<usize> {
+        match self {
+            ModelSpec::Ngram(cfg) => Some(cfg.vocab_size),
+            ModelSpec::Lda { config, .. } => Some(config.vocab_size),
+            ModelSpec::Lstm { config, .. } => Some(config.vocab_size),
+            ModelSpec::ChhExact { vocab_size, .. }
+            | ModelSpec::ChhStreaming { vocab_size, .. }
+            | ModelSpec::Apriori { vocab_size, .. } => Some(*vocab_size),
+            ModelSpec::Bpmf(_) => None,
         }
-        Ok(())
     }
 
     /// Bridges the spec to the sliding-window evaluation protocol: a
-    /// [`RecommenderFactory`] that retrains on history before each window.
-    /// Delegates to the adapters in [`hlm_core::recommenders`]; the streaming
-    /// CHH factory (which core does not provide) lives in this crate.
+    /// [`RecommenderFactory`] that, per cutoff, trains the spec on the
+    /// history before the window exactly as [`Engine::train`] does.
     ///
     /// # Errors
     /// [`EngineError::InvalidSpec`] for unusable parameters;
@@ -385,70 +373,49 @@ impl ModelSpec {
     pub fn factory(&self) -> Result<Box<dyn RecommenderFactory>, EngineError> {
         self.validate()?;
         match self {
-            ModelSpec::Ngram(cfg) => Ok(Box::new(NgramRecommenderFactory::new(cfg.clone()))),
-            ModelSpec::Lda { config, estimator } => match estimator {
-                LdaEstimator::Gibbs => Ok(Box::new(LdaRecommenderFactory::new(config.clone()))),
-                LdaEstimator::Vb => Err(EngineError::Unsupported {
-                    kind: ModelKind::Lda,
-                    operation: "sliding-window factory with the VB estimator",
-                }),
-            },
-            ModelSpec::Lstm {
-                config,
-                train,
-                seed,
-            } => Ok(Box::new(LstmRecommenderFactory {
-                config: config.clone(),
-                train: train.clone(),
-                seed: *seed,
-            })),
-            ModelSpec::ChhExact { depth, .. } => {
-                Ok(Box::new(ChhRecommenderFactory { depth: *depth }))
-            }
-            ModelSpec::ChhStreaming {
-                depth,
-                max_contexts,
-                counters_per_context,
+            ModelSpec::Lda {
+                estimator: LdaEstimator::Vb,
                 ..
-            } => Ok(Box::new(StreamingChhRecommenderFactory {
-                depth: *depth,
-                max_contexts: *max_contexts,
-                counters_per_context: *counters_per_context,
-            })),
-            ModelSpec::Apriori { config, .. } => Ok(Box::new(AprioriRecommenderFactory {
-                config: config.clone(),
-            })),
+            } => Err(EngineError::Unsupported {
+                kind: ModelKind::Lda,
+                operation: "sliding-window factory with the VB estimator",
+            }),
             ModelSpec::Bpmf(_) => Err(EngineError::Unsupported {
                 kind: ModelKind::Bpmf,
                 operation: "history-conditioned recommendation \
                             (use hlm_core::recommenders::evaluate_bpmf)",
             }),
+            _ => Ok(Box::new(SpecFactory {
+                spec: self.clone(),
+                label: self.label(),
+            })),
         }
     }
 
     /// Trains a model on explicit acquisition sequences and returns it as a
-    /// uniform [`TrainedModel`]. `valid` feeds early stopping where the
-    /// family supports it (LSTM) and is ignored elsewhere.
+    /// uniform [`TrainedModel`], checkpointed, resumable and
+    /// watchdog-guarded per `plan` for the iterative families (LDA, LSTM).
+    /// One-shot families (n-gram, CHH, Apriori) train instantly and consult
+    /// only the plan's watchdog. `valid` feeds early stopping where the
+    /// family supports it (LSTM) and is ignored elsewhere. An empty plan
+    /// ([`TrainPlan::new`]) trains exactly like each family's plain `fit`.
     ///
     /// # Errors
     /// [`EngineError::InvalidSpec`] for unusable parameters;
-    /// [`EngineError::Unsupported`] for BPMF, which is not a sequence model.
+    /// [`EngineError::Unsupported`] for BPMF, which is not a sequence model;
+    /// [`EngineError::Resilience`] for watchdog trips and unrecoverable
+    /// divergence.
     pub fn fit_sequences(
         &self,
         train: &[Vec<usize>],
         valid: &[Vec<usize>],
-    ) -> Result<Box<dyn TrainedModel>, EngineError> {
+        plan: TrainPlan,
+    ) -> Result<ResilientFit<Box<dyn TrainedModel>>, EngineError> {
         self.validate()?;
-        let label = self.label();
-        match self {
-            ModelSpec::Ngram(cfg) => {
-                let model = NgramLm::fit(cfg.clone(), train);
-                Ok(Box::new(TrainedNgram { model, label }))
-            }
+        let fit = match self {
             ModelSpec::Lda { config, estimator } => {
                 let docs = hlm_lda::unit_weights(train);
-                let model = fit_lda(config.clone(), *estimator, &docs)?;
-                Ok(Box::new(TrainedLda { model, label }))
+                fit_lda_resilient(config.clone(), *estimator, &docs, plan)?.map(Family::Lda)
             }
             ModelSpec::Lstm {
                 config,
@@ -457,78 +424,115 @@ impl ModelSpec {
             } => {
                 let seqs: Vec<Vec<usize>> =
                     train.iter().filter(|s| !s.is_empty()).cloned().collect();
-                let mut model = LstmLm::new(config.clone(), *seed);
-                if opts.epochs > 0 {
-                    Trainer::new(opts.clone()).fit(&mut model, &seqs, valid);
+                let init = LstmLm::new(config.clone(), *seed);
+                if opts.epochs == 0 {
+                    ResilientFit::fresh(Family::Lstm(init))
+                } else {
+                    let trainer = Trainer::new(opts.clone());
+                    run_resilient(
+                        hlm_lstm::LSTM_CHECKPOINT_KIND,
+                        plan,
+                        |ctrl, resume| {
+                            let mut model = init;
+                            trainer.fit_resumable(&mut model, &seqs, valid, ctrl, resume)?;
+                            Ok(model)
+                        },
+                        |good| trainer.model_from_checkpoint(good).map(|(m, _)| m),
+                    )?
+                    .map(Family::Lstm)
                 }
-                Ok(Box::new(TrainedLstm { model, label }))
             }
-            ModelSpec::ChhExact { depth, vocab_size } => {
-                let model = ExactChh::fit(*depth, *vocab_size, train);
-                Ok(Box::new(TrainedChhExact { model, label }))
+            ModelSpec::Ngram(cfg) => {
+                one_shot(plan, || Family::Ngram(NgramLm::fit(cfg.clone(), train)))?
             }
+            ModelSpec::ChhExact { depth, vocab_size } => one_shot(plan, || {
+                Family::ChhExact(ExactChh::fit(*depth, *vocab_size, train))
+            })?,
             ModelSpec::ChhStreaming {
                 depth,
                 vocab_size,
                 max_contexts,
                 counters_per_context,
-            } => {
+            } => one_shot(plan, || {
                 let mut model =
                     StreamingChh::new(*depth, *vocab_size, *max_contexts, *counters_per_context);
                 for seq in train {
                     model.observe_sequence(seq);
                 }
-                Ok(Box::new(TrainedChhStreaming { model, label }))
-            }
-            ModelSpec::Apriori { config, vocab_size } => {
+                Family::ChhStreaming(model)
+            })?,
+            ModelSpec::Apriori { config, vocab_size } => one_shot(plan, || {
                 let baskets: Vec<Vec<usize>> =
                     train.iter().filter(|b| !b.is_empty()).cloned().collect();
-                let model = if baskets.is_empty() {
-                    // Degenerate single-basket model: predictions are zeros
-                    // rather than a panic, matching the core adapter.
-                    AprioriModel::mine(*vocab_size, &[vec![0]], config)
+                // No history at all: a degenerate single-basket model
+                // predicts zeros rather than panicking.
+                let baskets = if baskets.is_empty() {
+                    vec![vec![0]]
                 } else {
-                    AprioriModel::mine(*vocab_size, &baskets, config)
+                    baskets
                 };
-                Ok(Box::new(TrainedApriori { model, label }))
+                Family::Apriori(AprioriModel::mine(*vocab_size, &baskets, config))
+            })?,
+            ModelSpec::Bpmf(_) => {
+                return Err(EngineError::Unsupported {
+                    kind: ModelKind::Bpmf,
+                    operation: "training on acquisition sequences",
+                })
             }
-            ModelSpec::Bpmf(_) => Err(EngineError::Unsupported {
-                kind: ModelKind::Bpmf,
-                operation: "training on acquisition sequences",
-            }),
+        };
+        let label = self.label();
+        Ok(fit.map(|model| Box::new(Trained { model, label }) as Box<dyn TrainedModel>))
+    }
+
+    /// Trains on the given companies' history strictly before `cutoff`:
+    /// the one path behind [`Engine::train`] and [`ModelSpec::factory`].
+    /// LDA sees each company's products in product-id order; every other
+    /// family sees its acquisition sequence. No validation set.
+    fn fit_before(
+        &self,
+        corpus: &Corpus,
+        ids: &[CompanyId],
+        cutoff: Month,
+        plan: TrainPlan,
+    ) -> Result<ResilientFit<Box<dyn TrainedModel>>, EngineError> {
+        let vocab = corpus.vocab().len();
+        if let Some(m) = self.vocab_size().filter(|&m| m != vocab) {
+            return Err(EngineError::InvalidSpec {
+                reason: format!(
+                    "{}: vocab_size {m} != corpus vocabulary of {vocab}",
+                    self.kind()
+                ),
+            });
         }
+        let mut seqs = sequences_before(corpus, ids, cutoff);
+        if self.kind() == ModelKind::Lda {
+            seqs.iter_mut().for_each(|s| s.sort_unstable());
+        }
+        self.fit_sequences(&seqs, &[], plan)
     }
 }
 
-/// Trains an LDA model on weighted documents (binary or TF-IDF input) with
-/// the requested estimator, returning the concrete [`LdaModel`] for
-/// consumers that need topics, embeddings or fold-in θ directly.
-///
-/// # Errors
-/// [`EngineError::InvalidSpec`] on zero topics, an empty vocabulary, or an
-/// empty document collection.
-pub fn fit_lda(
-    config: LdaConfig,
-    estimator: LdaEstimator,
-    docs: &[WeightedDoc],
-) -> Result<LdaModel, EngineError> {
-    ModelSpec::Lda {
-        config: config.clone(),
-        estimator,
-    }
-    .validate()?;
-    if docs.is_empty() {
-        return Err(EngineError::InvalidSpec {
-            reason: "LDA needs at least one training document".into(),
-        });
-    }
-    let rec = hlm_obs::global();
-    let _span = rec.span("engine.fit_lda");
-    rec.add("engine.trains", 1);
-    Ok(match estimator {
-        LdaEstimator::Gibbs => GibbsTrainer::new(config).fit(docs),
-        LdaEstimator::Vb => VbTrainer::new(config, VbOptions::default()).fit(docs),
-    })
+/// The given companies' acquisition sequences strictly before `cutoff`.
+fn sequences_before(corpus: &Corpus, ids: &[CompanyId], cutoff: Month) -> Vec<Vec<usize>> {
+    ids.iter()
+        .map(|&id| {
+            corpus
+                .company(id)
+                .sequence_before(cutoff)
+                .into_iter()
+                .map(|p| p.index())
+                .collect()
+        })
+        .collect()
+}
+
+/// A one-shot family trains instantly: one watchdog check, then the fit.
+fn one_shot(
+    plan: TrainPlan,
+    fit: impl FnOnce() -> Family,
+) -> Result<ResilientFit<Family>, EngineError> {
+    plan.guard.check(0)?;
+    Ok(ResilientFit::fresh(fit()))
 }
 
 /// Incrementally folds new documents (and optionally a grown vocabulary)
@@ -587,29 +591,23 @@ pub fn fold_in_lda(
 // Resilient training
 // ---------------------------------------------------------------------------
 
-/// How a resilient training run checkpoints, resumes and guards itself.
-/// Consumed by [`Engine::train_resilient`] / [`ModelSpec::fit_sequences_resilient`]
-/// (the [`RunGuard`] inside is single-use). A default plan — no store, an
-/// unlimited guard — makes those entry points behave exactly like the plain
-/// `fit` paths.
+/// How a training run checkpoints, resumes and guards itself. Consumed by
+/// [`Engine::train`], [`ModelSpec::fit_sequences`] and the `fit_*`
+/// functions (the [`RunGuard`] inside is single-use). An empty plan — no
+/// store, an unlimited guard, no faults — trains exactly like each family's
+/// plain `fit`.
 #[derive(Default)]
 pub struct TrainPlan {
     store: Option<CheckpointStore>,
     resume: bool,
     guard: RunGuard,
-    collapse: CollapsePolicy,
     faults: FaultPlan,
-    checkpoint_every: u64,
-    sampler: Option<hlm_lda::SamplerChoice>,
 }
 
 impl TrainPlan {
     /// A plan with no checkpointing and an unlimited watchdog.
     pub fn new() -> Self {
-        TrainPlan {
-            checkpoint_every: 1,
-            ..TrainPlan::default()
-        }
+        TrainPlan::default()
     }
 
     /// Checkpoint every completed iteration into `store`.
@@ -639,31 +637,9 @@ impl TrainPlan {
         self
     }
 
-    /// Opt in to score-collapse detection at iteration boundaries.
-    pub fn with_collapse_policy(mut self, policy: CollapsePolicy) -> Self {
-        self.collapse = policy;
-        self
-    }
-
     /// Attach a deterministic fault plan (metric poisoning for tests).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Checkpoint only every `n` completed iterations (clamped to ≥ 1).
-    pub fn checkpoint_every(mut self, n: u64) -> Self {
-        self.checkpoint_every = n.max(1);
-        self
-    }
-
-    /// Override the Gibbs token-sampler kernel (`Auto` picks by topic
-    /// count). A fixed choice is part of the sampling schedule: changing it
-    /// changes the RNG consumption pattern, so resumed runs must keep the
-    /// choice their checkpoints were written under. Ignored by estimators
-    /// without a Gibbs kernel (VB, online VB).
-    pub fn with_sampler(mut self, sampler: hlm_lda::SamplerChoice) -> Self {
-        self.sampler = Some(sampler);
         self
     }
 }
@@ -693,6 +669,28 @@ impl<M> fmt::Debug for ResilientFit<M> {
     }
 }
 
+impl<M> ResilientFit<M> {
+    /// A run that had nothing to resume, checkpoint or roll back.
+    fn fresh(model: M) -> Self {
+        ResilientFit {
+            model,
+            resumed_from: None,
+            checkpoints_written: 0,
+            rolled_back: None,
+        }
+    }
+
+    /// Converts the model, keeping how the run got there.
+    fn map<N>(self, f: impl FnOnce(M) -> N) -> ResilientFit<N> {
+        ResilientFit {
+            model: f(self.model),
+            resumed_from: self.resumed_from,
+            checkpoints_written: self.checkpoints_written,
+            rolled_back: self.rolled_back,
+        }
+    }
+}
+
 /// Shared scaffolding for the per-family resilient fits: resolves the resume
 /// checkpoint, builds the [`TrainControl`], runs `fit`, and on divergence
 /// rolls back to the last good checkpoint via `rollback`.
@@ -709,10 +707,7 @@ fn run_resilient<M>(
         store,
         resume,
         guard,
-        collapse,
         faults,
-        checkpoint_every,
-        sampler: _, // consumed by the LDA entry points before they get here
     } = plan;
 
     let resume_ckpt = match (&store, resume) {
@@ -726,9 +721,7 @@ fn run_resilient<M>(
         None => TrainControl::noop(),
     }
     .with_guard(guard)
-    .with_collapse_policy(collapse)
-    .with_faults(faults)
-    .with_checkpoint_every(checkpoint_every.max(1));
+    .with_faults(faults);
 
     let result = fit(&mut ctrl, resume_ckpt.as_ref());
     let checkpoints_written = ctrl.saves();
@@ -776,24 +769,24 @@ fn run_resilient<M>(
     }
 }
 
-/// Like [`fit_lda`], but checkpointed, resumable and watchdog-guarded per
-/// `plan`. On divergence the model rolls back to the last good checkpoint
-/// (reported in [`ResilientFit::rolled_back`]) instead of being returned
-/// poisoned.
+/// Trains an LDA model on weighted documents (binary or TF-IDF input) with
+/// the requested estimator, checkpointed, resumable and watchdog-guarded per
+/// `plan`, returning the concrete [`LdaModel`] for consumers that need
+/// topics, embeddings or fold-in θ directly. On divergence the model rolls
+/// back to the last good checkpoint (reported in
+/// [`ResilientFit::rolled_back`]) instead of being returned poisoned.
 ///
 /// # Errors
-/// Spec errors as in [`fit_lda`]; [`EngineError::Resilience`] when the
-/// watchdog trips (resumable — see [`EngineError::is_interruption`]) or
-/// divergence hits with no good checkpoint to fall back to.
+/// [`EngineError::InvalidSpec`] on an invalid config or an empty document
+/// collection; [`EngineError::Resilience`] when the watchdog trips
+/// (resumable — see [`EngineError::is_interruption`]) or divergence hits
+/// with no good checkpoint to fall back to.
 pub fn fit_lda_resilient(
-    mut config: LdaConfig,
+    config: LdaConfig,
     estimator: LdaEstimator,
     docs: &[WeightedDoc],
     plan: TrainPlan,
 ) -> Result<ResilientFit<LdaModel>, EngineError> {
-    if let Some(sampler) = plan.sampler {
-        config.sampler = sampler;
-    }
     ModelSpec::Lda {
         config: config.clone(),
         estimator,
@@ -906,17 +899,14 @@ fn validate_sharded_spec(config: &LdaConfig, source: &dyn CorpusSource) -> Resul
 /// sweep), not sweeps.
 ///
 /// # Errors
-/// Spec errors as in [`fit_lda`] (plus a config/corpus vocabulary-size
-/// mismatch); resilience errors as in [`fit_lda_resilient`].
+/// As in [`fit_lda_resilient`], plus a config/corpus vocabulary-size
+/// mismatch.
 pub fn fit_lda_sharded_gibbs(
-    mut config: LdaConfig,
+    config: LdaConfig,
     source: &dyn CorpusSource,
     work_dir: impl Into<std::path::PathBuf>,
     plan: TrainPlan,
 ) -> Result<ResilientFit<LdaModel>, EngineError> {
-    if let Some(sampler) = plan.sampler {
-        config.sampler = sampler;
-    }
     validate_sharded_spec(&config, source)?;
     let rec = hlm_obs::global();
     let _span = rec.span("engine.fit_lda_sharded_gibbs");
@@ -961,7 +951,7 @@ pub fn fit_lda_sharded_online_vb(
 
 /// Checkpointed, resumable, watchdog-guarded BPMF fit. BPMF scores
 /// `(company, product)` cells rather than histories, so it gets its own
-/// entry point instead of riding [`ModelSpec::fit_sequences_resilient`].
+/// entry point instead of riding [`ModelSpec::fit_sequences`].
 ///
 /// # Errors
 /// [`EngineError::InvalidSpec`] on zero factors or empty ratings;
@@ -986,88 +976,6 @@ pub fn fit_bpmf_resilient(
         |ctrl, resume| hlm_bpmf::fit_resumable(n_rows, n_cols, ratings, cfg, clamp, ctrl, resume),
         |good| hlm_bpmf::model_from_checkpoint(good, clamp),
     )
-}
-
-impl ModelSpec {
-    /// Like [`ModelSpec::fit_sequences`], but checkpointed, resumable and
-    /// watchdog-guarded per `plan` for the iterative families (LSTM, LDA).
-    /// One-shot families (n-gram, CHH, Apriori) train instantly and consult
-    /// only the plan's watchdog; BPMF is refused as in `fit_sequences`.
-    ///
-    /// # Errors
-    /// As in [`ModelSpec::fit_sequences`], plus [`EngineError::Resilience`]
-    /// for watchdog trips and unrecoverable divergence.
-    pub fn fit_sequences_resilient(
-        &self,
-        train: &[Vec<usize>],
-        valid: &[Vec<usize>],
-        plan: TrainPlan,
-    ) -> Result<ResilientFit<Box<dyn TrainedModel>>, EngineError> {
-        self.validate()?;
-        let label = self.label();
-        match self {
-            ModelSpec::Lda { config, estimator } => {
-                let docs = hlm_lda::unit_weights(train);
-                let fit = fit_lda_resilient(config.clone(), *estimator, &docs, plan)?;
-                Ok(ResilientFit {
-                    model: Box::new(TrainedLda {
-                        model: fit.model,
-                        label,
-                    }),
-                    resumed_from: fit.resumed_from,
-                    checkpoints_written: fit.checkpoints_written,
-                    rolled_back: fit.rolled_back,
-                })
-            }
-            ModelSpec::Lstm {
-                config,
-                train: opts,
-                seed,
-            } => {
-                let seqs: Vec<Vec<usize>> =
-                    train.iter().filter(|s| !s.is_empty()).cloned().collect();
-                let init = LstmLm::new(config.clone(), *seed);
-                if opts.epochs == 0 {
-                    return Ok(ResilientFit {
-                        model: Box::new(TrainedLstm { model: init, label }),
-                        resumed_from: None,
-                        checkpoints_written: 0,
-                        rolled_back: None,
-                    });
-                }
-                let trainer = Trainer::new(opts.clone());
-                let fit = run_resilient(
-                    hlm_lstm::LSTM_CHECKPOINT_KIND,
-                    plan,
-                    |ctrl, resume| {
-                        let mut model = init;
-                        trainer.fit_resumable(&mut model, &seqs, valid, ctrl, resume)?;
-                        Ok(model)
-                    },
-                    |good| trainer.model_from_checkpoint(good).map(|(m, _)| m),
-                )?;
-                Ok(ResilientFit {
-                    model: Box::new(TrainedLstm {
-                        model: fit.model,
-                        label,
-                    }),
-                    resumed_from: fit.resumed_from,
-                    checkpoints_written: fit.checkpoints_written,
-                    rolled_back: fit.rolled_back,
-                })
-            }
-            // One-shot families: a single watchdog check, then the plain fit.
-            _ => {
-                plan.guard.check(0)?;
-                Ok(ResilientFit {
-                    model: self.fit_sequences(train, valid)?,
-                    resumed_from: None,
-                    checkpoints_written: 0,
-                    rolled_back: None,
-                })
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1245,8 +1153,7 @@ impl ResilientModel {
 /// [`ModelSpec::fit_sequences`] or [`Engine::train`].
 ///
 /// `Send + Sync` is part of the contract so trained models can be handed
-/// across worker threads ([`Engine::train_many`]) and shared by a
-/// multi-threaded server; every family's model is plain owned data, so the
+/// across worker threads and shared by a multi-threaded server; every family's model is plain owned data, so the
 /// bound costs implementors nothing.
 pub trait TrainedModel: Send + Sync {
     /// The family that trained this model.
@@ -1276,14 +1183,35 @@ pub trait TrainedModel: Send + Sync {
     fn as_any(&self) -> &dyn Any;
 }
 
-struct TrainedNgram {
-    model: NgramLm,
+/// The concrete model behind a [`Trained`], one variant per family that
+/// trains on histories. It lives behind a `Box<dyn TrainedModel>`, so the
+/// LSTM variant's size costs nothing.
+#[allow(clippy::large_enum_variant)]
+enum Family {
+    Ngram(NgramLm),
+    Lda(LdaModel),
+    Lstm(LstmLm),
+    ChhExact(ExactChh),
+    ChhStreaming(StreamingChh),
+    Apriori(AprioriModel),
+}
+
+/// Every family's [`TrainedModel`]: the concrete model and its report label.
+struct Trained {
+    model: Family,
     label: String,
 }
 
-impl TrainedModel for TrainedNgram {
+impl TrainedModel for Trained {
     fn kind(&self) -> ModelKind {
-        ModelKind::Ngram
+        match self.model {
+            Family::Ngram(_) => ModelKind::Ngram,
+            Family::Lda(_) => ModelKind::Lda,
+            Family::Lstm(_) => ModelKind::Lstm,
+            Family::ChhExact(_) => ModelKind::ChhExact,
+            Family::ChhStreaming(_) => ModelKind::ChhStreaming,
+            Family::Apriori(_) => ModelKind::Apriori,
+        }
     }
 
     fn label(&self) -> &str {
@@ -1291,43 +1219,42 @@ impl TrainedModel for TrainedNgram {
     }
 
     fn recommend(&self, history: &[usize]) -> Result<Vec<f64>, EngineError> {
-        Ok(self.model.predict_next(history))
+        Ok(match &self.model {
+            Family::Ngram(m) => m.predict_next(history),
+            Family::Lda(m) => masked_lda_scores(m, history),
+            Family::Lstm(m) => m.predict_next(history),
+            Family::ChhExact(m) => m.predict_next(history),
+            Family::ChhStreaming(m) => m.predict_next(history),
+            Family::Apriori(m) => m.predict(history),
+        })
     }
 
     fn perplexity(&self, test: &[Vec<usize>]) -> Result<f64, EngineError> {
-        Ok(self.model.perplexity(test))
+        match &self.model {
+            Family::Ngram(m) => Ok(m.perplexity(test)),
+            Family::Lda(m) => {
+                let docs = hlm_lda::unit_weights(test);
+                Ok(hlm_lda::document_completion_perplexity(m, &docs))
+            }
+            Family::Lstm(m) => Ok(m.perplexity(test)),
+            Family::ChhExact(_) | Family::ChhStreaming(_) | Family::Apriori(_) => {
+                Err(EngineError::Unsupported {
+                    kind: self.kind(),
+                    operation: "perplexity",
+                })
+            }
+        }
     }
 
     fn as_any(&self) -> &dyn Any {
-        &self.model
-    }
-}
-
-struct TrainedLda {
-    model: LdaModel,
-    label: String,
-}
-
-impl TrainedModel for TrainedLda {
-    fn kind(&self) -> ModelKind {
-        ModelKind::Lda
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn recommend(&self, history: &[usize]) -> Result<Vec<f64>, EngineError> {
-        Ok(masked_lda_scores(&self.model, history))
-    }
-
-    fn perplexity(&self, test: &[Vec<usize>]) -> Result<f64, EngineError> {
-        let docs = hlm_lda::unit_weights(test);
-        Ok(hlm_lda::document_completion_perplexity(&self.model, &docs))
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        &self.model
+        match &self.model {
+            Family::Ngram(m) => m,
+            Family::Lda(m) => m,
+            Family::Lstm(m) => m,
+            Family::ChhExact(m) => m,
+            Family::ChhStreaming(m) => m,
+            Family::Apriori(m) => m,
+        }
     }
 }
 
@@ -1338,184 +1265,63 @@ impl TrainedModel for TrainedLda {
 /// [`ResilientModel`] via [`Engine::resilient_over`].
 pub fn lda_trained(model: LdaModel) -> Box<dyn TrainedModel> {
     let label = format!("LDA{}", model.n_topics());
-    Box::new(TrainedLda { model, label })
-}
-
-struct TrainedLstm {
-    model: LstmLm,
-    label: String,
-}
-
-impl TrainedModel for TrainedLstm {
-    fn kind(&self) -> ModelKind {
-        ModelKind::Lstm
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn recommend(&self, history: &[usize]) -> Result<Vec<f64>, EngineError> {
-        Ok(self.model.predict_next(history))
-    }
-
-    fn perplexity(&self, test: &[Vec<usize>]) -> Result<f64, EngineError> {
-        Ok(self.model.perplexity(test))
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        &self.model
-    }
-}
-
-struct TrainedChhExact {
-    model: ExactChh,
-    label: String,
-}
-
-impl TrainedModel for TrainedChhExact {
-    fn kind(&self) -> ModelKind {
-        ModelKind::ChhExact
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn recommend(&self, history: &[usize]) -> Result<Vec<f64>, EngineError> {
-        Ok(self.model.predict_next(history))
-    }
-
-    fn perplexity(&self, _test: &[Vec<usize>]) -> Result<f64, EngineError> {
-        Err(EngineError::Unsupported {
-            kind: ModelKind::ChhExact,
-            operation: "perplexity",
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        &self.model
-    }
-}
-
-struct TrainedChhStreaming {
-    model: StreamingChh,
-    label: String,
-}
-
-impl TrainedModel for TrainedChhStreaming {
-    fn kind(&self) -> ModelKind {
-        ModelKind::ChhStreaming
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn recommend(&self, history: &[usize]) -> Result<Vec<f64>, EngineError> {
-        Ok(self.model.predict_next(history))
-    }
-
-    fn perplexity(&self, _test: &[Vec<usize>]) -> Result<f64, EngineError> {
-        Err(EngineError::Unsupported {
-            kind: ModelKind::ChhStreaming,
-            operation: "perplexity",
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        &self.model
-    }
-}
-
-struct TrainedApriori {
-    model: AprioriModel,
-    label: String,
-}
-
-impl TrainedModel for TrainedApriori {
-    fn kind(&self) -> ModelKind {
-        ModelKind::Apriori
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn recommend(&self, history: &[usize]) -> Result<Vec<f64>, EngineError> {
-        Ok(self.model.predict(history))
-    }
-
-    fn perplexity(&self, _test: &[Vec<usize>]) -> Result<f64, EngineError> {
-        Err(EngineError::Unsupported {
-            kind: ModelKind::Apriori,
-            operation: "perplexity",
-        })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        &self.model
-    }
+    Box::new(Trained {
+        model: Family::Lda(model),
+        label,
+    })
 }
 
 // ---------------------------------------------------------------------------
-// Streaming CHH factory (core only ships the exact one)
+// Sliding-window adapter
 // ---------------------------------------------------------------------------
 
-/// Sliding-window factory for streaming Conditional Heavy Hitters: per
-/// cutoff, a fresh sketch observes every training sequence before the
-/// window.
-#[derive(Debug, Clone)]
-pub struct StreamingChhRecommenderFactory {
-    /// Context depth.
-    pub depth: usize,
-    /// Maximum tracked contexts.
-    pub max_contexts: usize,
-    /// SpaceSaving counters per context.
-    pub counters_per_context: usize,
+/// The [`RecommenderFactory`] behind [`ModelSpec::factory`]: per cutoff, it
+/// trains the spec on the history before the window through the same
+/// function as [`Engine::train`], with an empty plan.
+struct SpecFactory {
+    spec: ModelSpec,
+    label: String,
 }
 
-struct StreamingChhRecommender {
-    model: StreamingChh,
-}
-
-impl Recommender for StreamingChhRecommender {
-    fn scores(&self, history: &[usize]) -> Vec<f64> {
-        self.model.predict_next(history)
-    }
-
-    fn name(&self) -> &str {
-        "CHH-streaming"
-    }
-}
-
-impl RecommenderFactory for StreamingChhRecommenderFactory {
+impl RecommenderFactory for SpecFactory {
+    // `factory()` validated the spec, and an empty plan neither interrupts
+    // nor checkpoints. What is left to fail is the caller's input (a corpus
+    // whose vocabulary the spec does not match, or no training companies),
+    // which this trait has no error channel for.
+    #[allow(clippy::expect_used)]
     fn train(
         &self,
         corpus: &Corpus,
         train_ids: &[CompanyId],
         cutoff: Month,
     ) -> Box<dyn Recommender> {
-        let mut model = StreamingChh::new(
-            self.depth,
-            corpus.vocab().len(),
-            self.max_contexts,
-            self.counters_per_context,
-        );
-        for &id in train_ids {
-            let seq: Vec<usize> = corpus
-                .company(id)
-                .sequence_before(cutoff)
-                .into_iter()
-                .map(|p| p.index())
-                .collect();
-            model.observe_sequence(&seq);
-        }
-        Box::new(StreamingChhRecommender { model })
+        let fit = self
+            .spec
+            .fit_before(corpus, train_ids, cutoff, TrainPlan::new())
+            .expect("a validated spec trains on a corpus of its vocabulary");
+        Box::new(SpecRecommender(fit.model))
     }
 
     fn name(&self) -> &str {
-        "CHH-streaming"
+        &self.label
+    }
+}
+
+/// A model trained for one window, answering the window protocol.
+struct SpecRecommender(Box<dyn TrainedModel>);
+
+impl Recommender for SpecRecommender {
+    // Every family `factory()` accepts recommends from any history: only
+    // BPMF refuses, and `factory()` refuses BPMF.
+    #[allow(clippy::expect_used)]
+    fn scores(&self, history: &[usize]) -> Vec<f64> {
+        self.0
+            .recommend(history)
+            .expect("every family factory() accepts recommends")
+    }
+
+    fn name(&self) -> &str {
+        self.0.label()
     }
 }
 
@@ -1553,72 +1359,21 @@ impl Engine {
     }
 
     /// The engine's serving-side memo. Every [`Engine::sales_app`] shares
-    /// it; every `train*` call invalidates it.
+    /// it; every [`Engine::train`] call invalidates it.
     pub fn serving_cache(&self) -> &Arc<hlm_core::ServingCache> {
         &self.serving_cache
     }
 
-    /// Trains a model on the given companies' acquisition histories strictly
-    /// before `cutoff`.
+    /// Trains a model on the given companies' history strictly before
+    /// `cutoff`, checkpointed, resumable and watchdog-guarded per `plan`.
+    /// This is the path the sliding-window factory of [`ModelSpec::factory`]
+    /// trains each window with: LDA sees each company's products in
+    /// product-id order, every other family its acquisition sequence.
     ///
     /// # Errors
-    /// Spec validation and family-support errors as in
-    /// [`ModelSpec::fit_sequences`].
+    /// As in [`ModelSpec::fit_sequences`], plus [`EngineError::InvalidSpec`]
+    /// when the spec's vocabulary is not the corpus's.
     pub fn train(
-        &self,
-        spec: &ModelSpec,
-        ids: &[CompanyId],
-        cutoff: Month,
-    ) -> Result<Box<dyn TrainedModel>, EngineError> {
-        let rec = hlm_obs::global();
-        let _span = rec.span("engine.train");
-        rec.add("engine.trains", 1);
-        self.serving_cache.invalidate();
-        spec.fit_sequences(&self.sequences_before(ids, cutoff), &[])
-    }
-
-    /// The given companies' acquisition sequences strictly before `cutoff`.
-    fn sequences_before(&self, ids: &[CompanyId], cutoff: Month) -> Vec<Vec<usize>> {
-        ids.iter()
-            .map(|&id| {
-                self.corpus
-                    .company(id)
-                    .sequence_before(cutoff)
-                    .into_iter()
-                    .map(|p| p.index())
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Trains several model specs concurrently on the *same* histories —
-    /// one worker-pool task per spec, results in spec order. Each family
-    /// seeds its own RNG from its config, so the outcome is bit-identical
-    /// to training the specs one after another (and independent of the
-    /// thread count); only the wall-clock changes. This is the batch path
-    /// behind the ablation tables, where half a dozen families train on one
-    /// split.
-    ///
-    /// Per-spec failures are returned in place rather than aborting the
-    /// batch: one invalid spec must not cost the others their training run.
-    pub fn train_many(
-        &self,
-        specs: &[ModelSpec],
-        ids: &[CompanyId],
-        cutoff: Month,
-    ) -> Vec<Result<Box<dyn TrainedModel>, EngineError>> {
-        let seqs = self.sequences_before(ids, cutoff);
-        self.serving_cache.invalidate();
-        let pool = hlm_par::Pool::global();
-        pool.run(specs.len(), |i| specs[i].fit_sequences(&seqs, &[]))
-    }
-
-    /// Like [`Engine::train`], but checkpointed, resumable and
-    /// watchdog-guarded per `plan` (see [`ModelSpec::fit_sequences_resilient`]).
-    ///
-    /// # Errors
-    /// As in [`ModelSpec::fit_sequences_resilient`].
-    pub fn train_resilient(
         &self,
         spec: &ModelSpec,
         ids: &[CompanyId],
@@ -1626,33 +1381,10 @@ impl Engine {
         plan: TrainPlan,
     ) -> Result<ResilientFit<Box<dyn TrainedModel>>, EngineError> {
         let rec = hlm_obs::global();
-        let _span = rec.span("engine.train_resilient");
+        let _span = rec.span("engine.train");
         rec.add("engine.trains", 1);
         self.serving_cache.invalidate();
-        spec.fit_sequences_resilient(&self.sequences_before(ids, cutoff), &[], plan)
-    }
-
-    /// Trains the primary model *and* a unigram baseline on the same
-    /// histories, chained into a [`ResilientModel`] so serving degrades
-    /// gracefully instead of failing.
-    ///
-    /// # Errors
-    /// As in [`Engine::train`].
-    pub fn serve_resilient(
-        &self,
-        spec: &ModelSpec,
-        ids: &[CompanyId],
-        cutoff: Month,
-        opts: ServeOptions,
-    ) -> Result<ResilientModel, EngineError> {
-        let rec = hlm_obs::global();
-        let _span = rec.span("engine.serve_resilient");
-        rec.add("engine.trains", 1);
-        self.serving_cache.invalidate();
-        let seqs = self.sequences_before(ids, cutoff);
-        let primary = spec.fit_sequences(&seqs, &[])?;
-        let fallback = NgramLm::fit(NgramConfig::unigram(self.corpus.vocab().len()), &seqs);
-        Ok(ResilientModel::new(primary, fallback, opts))
+        spec.fit_before(&self.corpus, ids, cutoff, plan)
     }
 
     /// Chains an *already trained* primary model (e.g. one recovered from a
@@ -1666,24 +1398,15 @@ impl Engine {
         opts: ServeOptions,
     ) -> ResilientModel {
         let ids: Vec<CompanyId> = self.corpus.ids().collect();
-        let seqs = self.sequences_before(&ids, Month(i32::MAX));
+        let seqs = sequences_before(&self.corpus, &ids, Month(i32::MAX));
         let fallback = NgramLm::fit(NgramConfig::unigram(self.corpus.vocab().len()), &seqs);
         ResilientModel::new(primary, fallback, opts)
-    }
-
-    /// Trains a model on every company's full history.
-    ///
-    /// # Errors
-    /// As in [`Engine::train`].
-    pub fn train_full(&self, spec: &ModelSpec) -> Result<Box<dyn TrainedModel>, EngineError> {
-        let ids: Vec<CompanyId> = self.corpus.ids().collect();
-        self.train(spec, &ids, Month(i32::MAX))
     }
 
     /// Opens the sales application over this corpus with the given company
     /// representations, sharing the corpus `Arc` (no data copy) and the
     /// engine's [`ServingCache`] — repeat queries against the same model
-    /// generation replay memoized answers; any later `train*` call
+    /// generation replay memoized answers; any later [`Engine::train`] call
     /// invalidates them.
     ///
     /// # Errors
@@ -1835,7 +1558,10 @@ mod tests {
                 estimator: LdaEstimator::Gibbs,
             },
         ] {
-            let model = spec.fit_sequences(&train, &[]).unwrap();
+            let model = spec
+                .fit_sequences(&train, &[], TrainPlan::new())
+                .unwrap()
+                .model;
             assert_eq!(model.kind(), spec.kind());
             let scores = model.recommend(&[0, 1]).unwrap();
             assert_eq!(scores.len(), 5);
@@ -1860,7 +1586,10 @@ mod tests {
                 counters_per_context: 4,
             },
         ] {
-            let model = spec.fit_sequences(&train, &[]).unwrap();
+            let model = spec
+                .fit_sequences(&train, &[], TrainPlan::new())
+                .unwrap()
+                .model;
             assert_eq!(model.recommend(&[0, 1]).unwrap().len(), 5);
             let err = model.perplexity(&[vec![0, 1]]).unwrap_err();
             assert!(matches!(err, EngineError::Unsupported { .. }));
@@ -1873,7 +1602,10 @@ mod tests {
             depth: 1,
             vocab_size: 5,
         };
-        let model = spec.fit_sequences(&tiny_seqs(), &[]).unwrap();
+        let model = spec
+            .fit_sequences(&tiny_seqs(), &[], TrainPlan::new())
+            .unwrap()
+            .model;
         let chh = model
             .as_any()
             .downcast_ref::<ExactChh>()
@@ -1881,40 +1613,6 @@ mod tests {
         assert!(chh.context_count() > 0);
         // Wrong type: downcast politely fails.
         assert!(model.as_any().downcast_ref::<NgramLm>().is_none());
-    }
-
-    #[test]
-    fn invalid_specs_are_rejected_before_training() {
-        let zero_topics = ModelSpec::Lda {
-            config: LdaConfig {
-                n_topics: 0,
-                vocab_size: 5,
-                ..Default::default()
-            },
-            estimator: LdaEstimator::Gibbs,
-        };
-        assert!(matches!(
-            zero_topics.fit_sequences(&tiny_seqs(), &[]).err().unwrap(),
-            EngineError::InvalidSpec { .. }
-        ));
-        let zero_budget = ModelSpec::ChhStreaming {
-            depth: 2,
-            vocab_size: 5,
-            max_contexts: 0,
-            counters_per_context: 4,
-        };
-        assert!(matches!(
-            zero_budget.fit_sequences(&tiny_seqs(), &[]).err().unwrap(),
-            EngineError::InvalidSpec { .. }
-        ));
-        let zero_order = ModelSpec::Ngram(NgramConfig {
-            order: 0,
-            ..NgramConfig::bigram(5)
-        });
-        assert!(matches!(
-            zero_order.factory().err().unwrap(),
-            EngineError::InvalidSpec { .. }
-        ));
     }
 
     #[test]
@@ -1928,10 +1626,12 @@ mod tests {
             ..Default::default()
         };
         for est in [LdaEstimator::Gibbs, LdaEstimator::Vb] {
-            let model = fit_lda(cfg.clone(), est, &docs).unwrap();
+            let model = fit_lda_resilient(cfg.clone(), est, &docs, TrainPlan::new())
+                .unwrap()
+                .model;
             assert_eq!(model.n_topics(), 2);
         }
-        let err = fit_lda(cfg, LdaEstimator::Gibbs, &[]).unwrap_err();
+        let err = fit_lda_resilient(cfg, LdaEstimator::Gibbs, &[], TrainPlan::new()).unwrap_err();
         assert!(matches!(err, EngineError::InvalidSpec { .. }));
     }
 
@@ -1945,7 +1645,9 @@ mod tests {
             burn_in: 5,
             ..Default::default()
         };
-        let model = fit_lda(cfg, LdaEstimator::Gibbs, &docs).unwrap();
+        let model = fit_lda_resilient(cfg, LdaEstimator::Gibbs, &docs, TrainPlan::new())
+            .unwrap()
+            .model;
         let opts = hlm_lda::FoldInOptions {
             prior_tokens: 15.0,
             ..Default::default()
@@ -1976,56 +1678,7 @@ mod tests {
     }
 
     #[test]
-    fn train_many_matches_serial_training_and_keeps_per_spec_errors_in_place() {
-        let engine = Engine::new(corpus());
-        let ids: Vec<CompanyId> = engine.corpus().ids().collect();
-        let vocab = engine.corpus().vocab().len();
-        let cutoff = Month(i32::MAX);
-        let specs = vec![
-            ModelSpec::Ngram(NgramConfig::bigram(vocab)),
-            // Invalid on purpose: the batch must carry this error in place
-            // without costing the neighbouring specs their training runs.
-            ModelSpec::Lda {
-                config: LdaConfig {
-                    n_topics: 0,
-                    vocab_size: vocab,
-                    ..Default::default()
-                },
-                estimator: LdaEstimator::Gibbs,
-            },
-            ModelSpec::Lda {
-                config: LdaConfig {
-                    n_topics: 2,
-                    vocab_size: vocab,
-                    n_iters: 20,
-                    burn_in: 10,
-                    ..Default::default()
-                },
-                estimator: LdaEstimator::Gibbs,
-            },
-        ];
-        let batch = engine.train_many(&specs, &ids, cutoff);
-        assert_eq!(batch.len(), specs.len());
-        match &batch[1] {
-            Err(EngineError::InvalidSpec { .. }) => {}
-            Err(other) => panic!("expected InvalidSpec, got {other}"),
-            Ok(_) => panic!("invalid spec must not train"),
-        }
-        let test = vec![vec![0, 1, 2], vec![2, 3]];
-        for i in [0, 2] {
-            let parallel = batch[i].as_ref().unwrap();
-            let serial = engine.train(&specs[i], &ids, cutoff).unwrap();
-            assert_eq!(parallel.label(), serial.label());
-            let (p, s) = (
-                parallel.perplexity(&test).unwrap(),
-                serial.perplexity(&test).unwrap(),
-            );
-            assert!((p - s).abs() < 1e-12, "spec {i}: {p} != {s}");
-        }
-    }
-
-    #[test]
-    fn train_resilient_kill_and_resume_matches_plain_training() {
+    fn train_kill_and_resume_matches_plain_training() {
         use hlm_resilience::{CheckpointStore, MemIo};
 
         let engine = Engine::new(corpus());
@@ -2041,16 +1694,17 @@ mod tests {
             estimator: LdaEstimator::Gibbs,
         };
         let cutoff = Month(i32::MAX);
-        let full = engine.train(&spec, &ids, cutoff).unwrap();
+        let full = engine
+            .train(&spec, &ids, cutoff, TrainPlan::new())
+            .unwrap()
+            .model;
 
         // Kill at sweep 30 (mid phi accumulation), resume from the store.
         let store = CheckpointStore::new(Box::new(MemIo::new()));
         let plan = TrainPlan::new()
             .with_store(store)
             .with_guard(RunGuard::unlimited().abort_at_iteration(30));
-        let err = engine
-            .train_resilient(&spec, &ids, cutoff, plan)
-            .unwrap_err();
+        let err = engine.train(&spec, &ids, cutoff, plan).unwrap_err();
         assert!(err.is_interruption(), "{err}");
         // The store was consumed by the plan; rebuild over the same MemIo is
         // not possible, so run the kill/resume pair against a disk store.
@@ -2060,13 +1714,11 @@ mod tests {
             .on_disk(&dir)
             .unwrap()
             .with_guard(RunGuard::unlimited().abort_at_iteration(30));
-        let err = engine
-            .train_resilient(&spec, &ids, cutoff, plan)
-            .unwrap_err();
+        let err = engine.train(&spec, &ids, cutoff, plan).unwrap_err();
         assert!(err.is_interruption());
 
         let plan = TrainPlan::new().on_disk(&dir).unwrap().resume(true);
-        let fit = engine.train_resilient(&spec, &ids, cutoff, plan).unwrap();
+        let fit = engine.train(&spec, &ids, cutoff, plan).unwrap();
         assert_eq!(fit.resumed_from, Some(30));
         assert!(fit.rolled_back.is_none());
         let test = vec![vec![0, 1, 2], vec![2, 3]];
@@ -2080,7 +1732,7 @@ mod tests {
     }
 
     #[test]
-    fn train_resilient_rolls_back_to_last_good_checkpoint_on_divergence() {
+    fn train_rolls_back_to_last_good_checkpoint_on_divergence() {
         use hlm_resilience::{CheckpointStore, FaultPlan, MemIo};
 
         let engine = Engine::new(corpus());
@@ -2100,9 +1752,7 @@ mod tests {
         let plan = TrainPlan::new()
             .with_store(CheckpointStore::new(Box::new(MemIo::new())))
             .with_faults(FaultPlan::none().with_nan_at_iteration(35));
-        let fit = engine
-            .train_resilient(&spec, &ids, Month(i32::MAX), plan)
-            .unwrap();
+        let fit = engine.train(&spec, &ids, Month(i32::MAX), plan).unwrap();
         let rolled = fit.rolled_back.expect("divergence must be reported");
         assert!(matches!(
             rolled,
@@ -2116,7 +1766,7 @@ mod tests {
         // surfaces as an error instead of a poisoned model.
         let plan = TrainPlan::new().with_faults(FaultPlan::none().with_nan_at_iteration(35));
         let err = engine
-            .train_resilient(&spec, &ids, Month(i32::MAX), plan)
+            .train(&spec, &ids, Month(i32::MAX), plan)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -2155,8 +1805,9 @@ mod tests {
 
         // Healthy primary: served directly, not degraded.
         let healthy = ModelSpec::Ngram(NgramConfig::bigram(5))
-            .fit_sequences(&train, &[])
-            .unwrap();
+            .fit_sequences(&train, &[], TrainPlan::new())
+            .unwrap()
+            .model;
         let server = ResilientModel::new(healthy, fallback.clone(), ServeOptions::default());
         let served = server.recommend(&[0, 1]);
         assert!(!served.is_degraded());
@@ -2181,8 +1832,9 @@ mod tests {
             depth: 2,
             vocab_size: 5,
         }
-        .fit_sequences(&train, &[])
-        .unwrap();
+        .fit_sequences(&train, &[], TrainPlan::new())
+        .unwrap()
+        .model;
         let server = ResilientModel::new(chh, fallback.clone(), ServeOptions::default());
         let ppl = server.perplexity(&[vec![0, 1, 2]]);
         assert!(ppl.is_degraded());
@@ -2225,8 +1877,9 @@ mod tests {
         let clock = ManualClock::new();
         let primary = SlowPrimary {
             inner: ModelSpec::Ngram(NgramConfig::bigram(5))
-                .fit_sequences(&train, &[])
-                .unwrap(),
+                .fit_sequences(&train, &[], TrainPlan::new())
+                .unwrap()
+                .model,
             clock: clock.clone(),
             cost_millis: 50,
         };
@@ -2253,8 +1906,9 @@ mod tests {
         let clock = ManualClock::new();
         let primary = SlowPrimary {
             inner: ModelSpec::Ngram(NgramConfig::bigram(5))
-                .fit_sequences(&train, &[])
-                .unwrap(),
+                .fit_sequences(&train, &[], TrainPlan::new())
+                .unwrap()
+                .model,
             clock: clock.clone(),
             cost_millis: 50,
         };
@@ -2317,16 +1971,140 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// One spec per check a family's config makes (plus the budgets on the
+    /// spec itself), each failing only that check.
+    fn specs_failing_one_check() -> Vec<ModelSpec> {
+        let lda = |edit: fn(&mut LdaConfig)| {
+            let mut config = LdaConfig {
+                n_topics: 2,
+                vocab_size: 38,
+                n_iters: 10,
+                burn_in: 5,
+                sample_lag: 2,
+                ..Default::default()
+            };
+            edit(&mut config);
+            ModelSpec::Lda {
+                config,
+                estimator: LdaEstimator::Gibbs,
+            }
+        };
+        let ngram = |edit: fn(&mut NgramConfig)| {
+            let mut cfg = NgramConfig::bigram(5);
+            edit(&mut cfg);
+            ModelSpec::Ngram(cfg)
+        };
+        let lstm = |edit: fn(&mut LstmConfig, &mut TrainOptions)| {
+            let mut config = LstmConfig {
+                vocab_size: 5,
+                hidden_size: 4,
+                ..Default::default()
+            };
+            let mut train = TrainOptions {
+                epochs: 1,
+                ..Default::default()
+            };
+            edit(&mut config, &mut train);
+            ModelSpec::Lstm {
+                config,
+                train,
+                seed: 1,
+            }
+        };
+        let streaming = |vocab_size, max_contexts, counters_per_context| ModelSpec::ChhStreaming {
+            depth: 2,
+            vocab_size,
+            max_contexts,
+            counters_per_context,
+        };
+        let apriori = |edit: fn(&mut AprioriConfig)| {
+            let mut config = AprioriConfig::default();
+            edit(&mut config);
+            ModelSpec::Apriori {
+                config,
+                vocab_size: 5,
+            }
+        };
+        let bpmf = |edit: fn(&mut hlm_bpmf::BpmfConfig)| {
+            let mut cfg = hlm_bpmf::BpmfConfig::default();
+            edit(&mut cfg);
+            ModelSpec::Bpmf(cfg)
+        };
+        vec![
+            lda(|c| c.n_topics = 0),
+            lda(|c| c.vocab_size = 0),
+            lda(|c| c.alpha = Some(0.0)),
+            lda(|c| c.beta = 0.0),
+            lda(|c| c.burn_in = c.n_iters),
+            lda(|c| c.sample_lag = 0),
+            ngram(|c| c.order = 0),
+            ngram(|c| c.vocab_size = 0),
+            ngram(|c| c.add_k = 0.0),
+            ngram(|c| c.lambdas = Some(vec![1.0])),
+            ngram(|c| c.lambdas = Some(vec![-0.5, 1.5])),
+            ngram(|c| c.lambdas = Some(vec![0.5, 0.9])),
+            lstm(|c, _| c.vocab_size = 0),
+            lstm(|c, _| c.hidden_size = 0),
+            lstm(|c, _| c.n_layers = 0),
+            lstm(|c, _| c.dropout = 1.0),
+            lstm(|_, t| t.batch_size = 0),
+            lstm(|_, t| t.lr_decay = 0.0),
+            lstm(|_, t| t.adam.learning_rate = 0.0),
+            lstm(|_, t| t.adam.beta1 = 1.0),
+            lstm(|_, t| t.adam.epsilon = 0.0),
+            lstm(|_, t| t.adam.clip_norm = Some(0.0)),
+            ModelSpec::ChhExact {
+                depth: 2,
+                vocab_size: 0,
+            },
+            streaming(0, 10, 4),
+            streaming(5, 0, 4),
+            streaming(5, 10, 0),
+            apriori(|c| c.min_support = 0.0),
+            apriori(|c| c.min_confidence = 1.5),
+            apriori(|c| c.max_len = 1),
+            ModelSpec::Apriori {
+                config: AprioriConfig::default(),
+                vocab_size: 0,
+            },
+            bpmf(|c| c.n_factors = 0),
+            bpmf(|c| c.alpha = 0.0),
+            bpmf(|c| c.burn_in = c.n_iters),
+        ]
+    }
+
+    #[test]
+    fn invalid_specs_are_rejected_before_training() {
+        let corpus = corpus();
+        let shards = hlm_corpus::shard::MemShardSource::new(&corpus, 64);
+        // Validation fails before a sharded fit creates its work dir.
+        let work = std::env::temp_dir().join("hlm-engine-invalid-spec-never-created");
+        let docs = hlm_lda::unit_weights(&tiny_seqs());
+        let invalid = |what: &str, spec: &ModelSpec, got: Result<(), EngineError>| match got {
+            Err(EngineError::InvalidSpec { .. }) => {}
+            other => panic!("{what} on {spec:?}: expected InvalidSpec, got {other:?}"),
+        };
+        for spec in &specs_failing_one_check() {
+            let fit = spec.fit_sequences(&tiny_seqs(), &[], TrainPlan::new());
+            invalid("fit_sequences", spec, fit.map(drop));
+            invalid("factory", spec, spec.factory().map(drop));
+            if let ModelSpec::Lda { config, estimator } = spec {
+                let fit = fit_lda_resilient(config.clone(), *estimator, &docs, TrainPlan::new());
+                invalid("fit_lda_resilient", spec, fit.map(drop));
+                let fit = fit_lda_sharded_gibbs(config.clone(), &shards, &work, TrainPlan::new());
+                invalid("fit_lda_sharded_gibbs", spec, fit.map(drop));
+            }
+        }
+    }
+
     #[test]
     fn one_shot_families_consult_the_watchdog() {
         let spec = ModelSpec::Ngram(NgramConfig::bigram(5));
         let plan = TrainPlan::new().with_guard(RunGuard::unlimited().abort_at_iteration(0));
-        let err = spec
-            .fit_sequences_resilient(&tiny_seqs(), &[], plan)
-            .unwrap_err();
+        let err = spec.fit_sequences(&tiny_seqs(), &[], plan).unwrap_err();
         assert!(err.is_interruption());
         let fit = spec
-            .fit_sequences_resilient(&tiny_seqs(), &[], TrainPlan::new())
+            .fit_sequences(&tiny_seqs(), &[], TrainPlan::new())
             .unwrap();
         assert_eq!(fit.checkpoints_written, 0);
         assert!(fit.model.recommend(&[0]).is_ok());
@@ -2385,18 +2163,18 @@ mod tests {
     #[test]
     fn engine_trains_and_opens_the_sales_app_with_shared_corpus() {
         let engine = Engine::new(corpus());
+        let ids: Vec<CompanyId> = engine.corpus().ids().collect();
+        let spec = ModelSpec::Ngram(NgramConfig::bigram(engine.corpus().vocab().len()));
         let model = engine
-            .train_full(&ModelSpec::Ngram(NgramConfig::bigram(
-                engine.corpus().vocab().len(),
-            )))
-            .unwrap();
+            .train(&spec, &ids, Month(i32::MAX), TrainPlan::new())
+            .unwrap()
+            .model;
         assert_eq!(
             model.recommend(&[0]).unwrap().len(),
             engine.corpus().vocab().len()
         );
 
         // The sales app shares the corpus allocation, not a copy.
-        let ids: Vec<CompanyId> = engine.corpus().ids().collect();
         let reps = hlm_core::representations::raw_binary(engine.corpus(), &ids);
         let app = engine.sales_app(reps, DistanceMetric::Cosine).unwrap();
         assert!(Arc::ptr_eq(&engine.corpus_arc(), &app.corpus_arc()));
@@ -2440,7 +2218,10 @@ mod tests {
 
         let ids: Vec<CompanyId> = corpus.ids().collect();
         let docs = hlm_core::representations::binary_docs(&corpus, &ids);
-        let in_memory = fit_lda(cfg.clone(), LdaEstimator::Gibbs, &docs).unwrap();
+        let in_memory =
+            fit_lda_resilient(cfg.clone(), LdaEstimator::Gibbs, &docs, TrainPlan::new())
+                .unwrap()
+                .model;
 
         let sharded = fit_lda_sharded_gibbs(cfg, &store, &work_dir, TrainPlan::new()).unwrap();
         assert!(sharded.resumed_from.is_none());

@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 /// it changes nothing (bit-identical at any thread/shard count, kill/resume
 /// included). See DESIGN.md §3.8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
 pub enum SamplerChoice {
     /// Pick per configuration: a pure function of `K` (see
     /// [`SamplerChoice::resolve`]), so the choice cannot vary with
@@ -134,17 +133,32 @@ impl LdaConfig {
         self.alpha.unwrap_or(1.0 / self.n_topics as f64)
     }
 
+    /// Checks internal consistency, returning the reason a setting no
+    /// sampler can run with is rejected.
+    ///
+    /// # Errors
+    /// The first nonsensical setting, described.
+    pub fn check(&self) -> Result<(), String> {
+        let rules = [
+            (self.n_topics >= 1, "need at least one topic"),
+            (self.vocab_size >= 1, "need a vocabulary"),
+            (self.effective_alpha() > 0.0, "alpha must be positive"),
+            (self.beta > 0.0, "beta must be positive"),
+            (self.n_iters > self.burn_in, "n_iters must exceed burn_in"),
+            (self.sample_lag >= 1, "sample_lag must be at least 1"),
+        ];
+        rules
+            .iter()
+            .find(|(ok, _)| !ok)
+            .map_or(Ok(()), |(_, reason)| Err(reason.to_string()))
+    }
+
     /// Checks internal consistency.
     ///
     /// # Panics
-    /// Panics on nonsensical settings.
+    /// Panics on nonsensical settings (see [`LdaConfig::check`]).
     pub fn validate(&self) {
-        assert!(self.n_topics >= 1, "need at least one topic");
-        assert!(self.vocab_size >= 1, "need a vocabulary");
-        assert!(self.effective_alpha() > 0.0, "alpha must be positive");
-        assert!(self.beta > 0.0, "beta must be positive");
-        assert!(self.n_iters > self.burn_in, "n_iters must exceed burn_in");
-        assert!(self.sample_lag >= 1, "sample_lag must be at least 1");
+        self.check().unwrap_or_else(|reason| panic!("{reason}"));
     }
 }
 
@@ -379,6 +393,19 @@ mod tests {
         // Two sharply separated topics over 4 words.
         let phi = Matrix::from_rows(&[&[0.45, 0.45, 0.05, 0.05], &[0.05, 0.05, 0.45, 0.45]]);
         LdaModel::new(phi, 0.1, 0.01)
+    }
+
+    #[test]
+    fn sampler_choice_json_names_are_the_variant_names() {
+        let wire = [
+            (SamplerChoice::Auto, "\"Auto\""),
+            (SamplerChoice::Dense, "\"Dense\""),
+            (SamplerChoice::AliasMh, "\"AliasMh\""),
+        ];
+        for (choice, json) in wire {
+            assert_eq!(serde_json::to_string(&choice).unwrap(), json);
+            assert_eq!(serde_json::from_str::<SamplerChoice>(json).unwrap(), choice);
+        }
     }
 
     #[test]

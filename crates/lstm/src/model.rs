@@ -167,18 +167,33 @@ impl LstmConfig {
         self.vocab_size + 1
     }
 
+    /// Checks internal consistency, returning the reason a setting no
+    /// network can be built with is rejected.
+    ///
+    /// # Errors
+    /// The first nonsensical setting, described.
+    pub fn check(&self) -> Result<(), String> {
+        let rules = [
+            (self.vocab_size >= 1, "empty vocabulary"),
+            (self.hidden_size >= 1, "hidden size must be positive"),
+            (self.n_layers >= 1, "need at least one layer"),
+            (
+                (0.0..1.0).contains(&self.dropout),
+                "dropout must be in [0, 1)",
+            ),
+        ];
+        rules
+            .iter()
+            .find(|(ok, _)| !ok)
+            .map_or(Ok(()), |(_, reason)| Err(reason.to_string()))
+    }
+
     /// Checks internal consistency.
     ///
     /// # Panics
-    /// Panics on nonsensical settings.
+    /// Panics on nonsensical settings (see [`LstmConfig::check`]).
     pub fn validate(&self) {
-        assert!(self.vocab_size >= 1, "empty vocabulary");
-        assert!(self.hidden_size >= 1, "hidden size must be positive");
-        assert!(self.n_layers >= 1, "need at least one layer");
-        assert!(
-            (0.0..1.0).contains(&self.dropout),
-            "dropout must be in [0, 1)"
-        );
+        self.check().unwrap_or_else(|reason| panic!("{reason}"));
     }
 }
 

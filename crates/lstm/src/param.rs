@@ -84,6 +84,32 @@ impl Default for AdamOptions {
     }
 }
 
+impl AdamOptions {
+    /// Checks the hyper-parameters, returning the reason an optimizer
+    /// cannot run with them.
+    ///
+    /// # Errors
+    /// The first invalid hyper-parameter, described.
+    pub fn check(&self) -> Result<(), String> {
+        let rules = [
+            (self.learning_rate > 0.0, "learning rate must be positive"),
+            (
+                (0.0..1.0).contains(&self.beta1) && (0.0..1.0).contains(&self.beta2),
+                "Adam betas must be in [0, 1)",
+            ),
+            (self.epsilon > 0.0, "Adam epsilon must be positive"),
+            (
+                self.clip_norm.into_iter().all(|c| c > 0.0),
+                "clip norm must be positive",
+            ),
+        ];
+        rules
+            .iter()
+            .find(|(ok, _)| !ok)
+            .map_or(Ok(()), |(_, reason)| Err(reason.to_string()))
+    }
+}
+
 /// Adam optimizer state shared across a parameter set.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
@@ -97,12 +123,7 @@ impl Adam {
     /// # Panics
     /// Panics on invalid hyper-parameters.
     pub fn new(opts: AdamOptions) -> Self {
-        assert!(opts.learning_rate > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&opts.beta1) && (0.0..1.0).contains(&opts.beta2));
-        assert!(opts.epsilon > 0.0);
-        if let Some(c) = opts.clip_norm {
-            assert!(c > 0.0, "clip norm must be positive");
-        }
+        opts.check().unwrap_or_else(|reason| panic!("{reason}"));
         Adam { opts, t: 0 }
     }
 

@@ -80,6 +80,31 @@ impl Default for TrainOptions {
     }
 }
 
+impl TrainOptions {
+    /// Checks the schedule, returning the reason a trainer cannot run it.
+    /// Zero epochs train nothing (the untrained baseline), so nothing else
+    /// is checked then.
+    ///
+    /// # Errors
+    /// The first invalid setting, described.
+    pub fn check(&self) -> Result<(), String> {
+        if self.epochs == 0 {
+            return Ok(());
+        }
+        let rules = [
+            (self.batch_size >= 1, "batch size must be positive"),
+            (
+                self.lr_decay > 0.0 && self.lr_decay <= 1.0,
+                "lr_decay must be in (0, 1]",
+            ),
+        ];
+        match rules.iter().find(|(ok, _)| !ok) {
+            Some((_, reason)) => Err(reason.to_string()),
+            None => self.adam.check(),
+        }
+    }
+}
+
 /// Per-epoch training record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EpochStats {
@@ -104,11 +129,7 @@ impl Trainer {
     /// Panics on nonsensical options.
     pub fn new(opts: TrainOptions) -> Self {
         assert!(opts.epochs >= 1, "need at least one epoch");
-        assert!(opts.batch_size >= 1, "batch size must be positive");
-        assert!(
-            opts.lr_decay > 0.0 && opts.lr_decay <= 1.0,
-            "lr_decay must be in (0, 1]"
-        );
+        opts.check().unwrap_or_else(|reason| panic!("{reason}"));
         Trainer { opts }
     }
 

@@ -74,10 +74,7 @@ impl NgramConfig {
     pub fn effective_lambdas(&self) -> Vec<f64> {
         match &self.lambdas {
             Some(l) => {
-                assert_eq!(l.len(), self.order, "need one λ per order");
-                assert!(l.iter().all(|&x| x >= 0.0), "λ must be non-negative");
-                let s: f64 = l.iter().sum();
-                assert!((s - 1.0).abs() < 1e-9, "λ must sum to 1, got {s}");
+                self.validate();
                 l.clone()
             }
             None => {
@@ -88,18 +85,46 @@ impl NgramConfig {
         }
     }
 
+    /// Checks internal consistency, returning the reason a setting no model
+    /// can be fitted with is rejected.
+    ///
+    /// # Errors
+    /// The first nonsensical setting, described.
+    pub fn check(&self) -> Result<(), String> {
+        let rules = [
+            (self.order >= 1, "order must be at least 1"),
+            (self.vocab_size >= 1, "empty vocabulary"),
+            (
+                self.add_k > 0.0,
+                "add_k must be positive for a proper distribution",
+            ),
+        ];
+        if let Some((_, reason)) = rules.iter().find(|(ok, _)| !ok) {
+            return Err(reason.to_string());
+        }
+        let Some(l) = &self.lambdas else {
+            return Ok(());
+        };
+        if l.len() != self.order {
+            return Err(format!("need one λ per order, got {}", l.len()));
+        }
+        if !l.iter().all(|&x| x >= 0.0) {
+            return Err("λ must be non-negative".to_string());
+        }
+        let s: f64 = l.iter().sum();
+        if (s - 1.0).abs() < 1e-9 {
+            Ok(())
+        } else {
+            Err(format!("λ must sum to 1, got {s}"))
+        }
+    }
+
     /// Checks internal consistency.
     ///
     /// # Panics
-    /// Panics on nonsensical settings.
+    /// Panics on nonsensical settings (see [`NgramConfig::check`]).
     pub fn validate(&self) {
-        assert!(self.order >= 1, "order must be at least 1");
-        assert!(self.vocab_size >= 1, "empty vocabulary");
-        assert!(
-            self.add_k > 0.0,
-            "add_k must be positive for a proper distribution"
-        );
-        let _ = self.effective_lambdas();
+        self.check().unwrap_or_else(|reason| panic!("{reason}"));
     }
 }
 

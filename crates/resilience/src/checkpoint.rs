@@ -19,7 +19,7 @@
 use crate::error::ResilienceError;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 const MAGIC: &[u8; 8] = b"HLMCKPT\0";
 const VERSION: u32 = 1;
@@ -85,37 +85,27 @@ impl Checkpoint {
     /// wrong magic, unknown version, bad lengths, checksum mismatch, trailing
     /// garbage — yields [`ResilienceError::Corrupt`].
     pub fn decode(bytes: &[u8]) -> Result<Self, ResilienceError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], ResilienceError> {
-            let end = pos
-                .checked_add(n)
-                .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| ResilienceError::corrupt("unexpected end of checkpoint"))?;
-            let slice = &bytes[*pos..end];
-            *pos = end;
-            Ok(slice)
-        };
-
-        if take(&mut pos, 8)? != MAGIC {
+        let mut fields = Fields { bytes, pos: 0 };
+        if fields.take(8)? != MAGIC {
             return Err(ResilienceError::corrupt("checkpoint has a bad magic"));
         }
-        let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
+        let version = u32::from_le_bytes(fields.array()?);
         if version != VERSION {
             return Err(ResilienceError::corrupt(format!(
                 "unsupported checkpoint version {version}"
             )));
         }
-        let kind_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let kind = std::str::from_utf8(take(&mut pos, kind_len)?)
+        let kind_len = u32::from_le_bytes(fields.array()?) as usize;
+        let kind = std::str::from_utf8(fields.take(kind_len)?)
             .map_err(|_| ResilienceError::corrupt("checkpoint kind is not UTF-8"))?
             .to_string();
-        let iteration = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let payload_len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let stored_checksum = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
+        let iteration = u64::from_le_bytes(fields.array()?);
+        let payload_len = u64::from_le_bytes(fields.array()?);
+        let stored_checksum = u64::from_le_bytes(fields.array()?);
         let payload_len = usize::try_from(payload_len)
             .map_err(|_| ResilienceError::corrupt("checkpoint payload length overflows usize"))?;
-        let payload = take(&mut pos, payload_len)?.to_vec();
-        if pos != bytes.len() {
+        let payload = fields.take(payload_len)?.to_vec();
+        if fields.pos != bytes.len() {
             return Err(ResilienceError::corrupt(
                 "trailing bytes after checkpoint payload",
             ));
@@ -193,6 +183,33 @@ impl CheckpointIo for FsIo {
     }
 }
 
+/// Reads an encoded checkpoint's fields front to back.
+struct Fields<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// The next `n` bytes, or `Corrupt` if the input ends first.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ResilienceError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&e| e <= self.bytes.len())
+            .ok_or_else(|| ResilienceError::corrupt("unexpected end of checkpoint"))?;
+        let field = &self.bytes[self.pos..end];
+        self.pos = end;
+        Ok(field)
+    }
+
+    /// The next `N` bytes as a fixed-size field.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ResilienceError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+}
+
 /// In-memory checkpoint IO for unit tests and fault-injection suites.
 #[derive(Default)]
 pub struct MemIo {
@@ -206,26 +223,30 @@ impl MemIo {
     }
 }
 
+impl MemIo {
+    /// The file map. Each operation on it is a single insert or lookup, so a
+    /// panic elsewhere while it was held cannot leave it half-written: a
+    /// poisoned lock is taken as it stands.
+    fn files(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Vec<u8>>> {
+        self.files.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 impl CheckpointIo for MemIo {
     fn write(&self, name: &str, bytes: &[u8]) -> Result<(), ResilienceError> {
-        self.files
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), bytes.to_vec());
+        self.files().insert(name.to_string(), bytes.to_vec());
         Ok(())
     }
 
     fn read(&self, name: &str) -> Result<Vec<u8>, ResilienceError> {
-        self.files
-            .lock()
-            .unwrap()
+        self.files()
             .get(name)
             .cloned()
             .ok_or_else(|| ResilienceError::io("read", format!("no such checkpoint: {name}")))
     }
 
     fn list(&self) -> Result<Vec<String>, ResilienceError> {
-        Ok(self.files.lock().unwrap().keys().cloned().collect())
+        Ok(self.files().keys().cloned().collect())
     }
 }
 

@@ -38,7 +38,6 @@ pub struct TrainControl<'a> {
     kind: &'a str,
     faults: FaultPlan,
     collapse: CollapsePolicy,
-    checkpoint_every: u64,
     sink_failures: Vec<(u64, ResilienceError)>,
     saves: u64,
 }
@@ -52,7 +51,6 @@ impl<'a> TrainControl<'a> {
             kind: "",
             faults: FaultPlan::none(),
             collapse: CollapsePolicy::Ignore,
-            checkpoint_every: 1,
             sink_failures: Vec::new(),
             saves: 0,
         }
@@ -82,13 +80,6 @@ impl<'a> TrainControl<'a> {
     /// Opt in to score-collapse detection.
     pub fn with_collapse_policy(mut self, policy: CollapsePolicy) -> Self {
         self.collapse = policy;
-        self
-    }
-
-    /// Checkpoint only every `n` completed iterations (and always allow the
-    /// caller to force one at the end). `n` is clamped to at least 1.
-    pub fn with_checkpoint_every(mut self, n: u64) -> Self {
-        self.checkpoint_every = n.max(1);
         self
     }
 
@@ -146,8 +137,9 @@ impl<'a> TrainControl<'a> {
         Ok(())
     }
 
-    /// Snapshot the state after `iterations_done` completed iterations.
-    /// `payload` is only invoked when a checkpoint is actually due. A sink
+    /// Snapshot the state after `iterations_done` completed iterations
+    /// (none before the first). `payload` is only invoked when a sink is
+    /// attached. A sink
     /// failure is recorded (see [`TrainControl::sink_failures`]) but does
     /// not abort training — losing one snapshot only widens the resume gap.
     /// With recording on, building the payload is timed under
@@ -158,7 +150,7 @@ impl<'a> TrainControl<'a> {
         F: FnOnce() -> Vec<u8>,
     {
         let Some(sink) = self.sink else { return };
-        if iterations_done == 0 || !iterations_done.is_multiple_of(self.checkpoint_every) {
+        if iterations_done == 0 {
             return;
         }
         let rec = hlm_obs::global();
@@ -261,14 +253,16 @@ mod tests {
 
     #[test]
     fn checkpoints_respect_interval_and_count_saves() {
+        // The interval is one completed iteration: nothing before the first.
         let store = CheckpointStore::new(Box::new(MemIo::new()));
-        let mut ctrl = TrainControl::new("t", &store).with_checkpoint_every(2);
-        for done in 1..=6u64 {
+        let mut ctrl = TrainControl::new("t", &store);
+        for done in 0..=6u64 {
             ctrl.checkpoint(done, || vec![done as u8]);
         }
-        assert_eq!(ctrl.saves(), 3);
+        assert_eq!(ctrl.saves(), 6);
         assert_eq!(store.latest_good("t").unwrap().unwrap().iteration, 6);
-        assert!(store.load(5).is_err(), "odd iterations are not persisted");
+        assert!(store.load(5).is_ok(), "every completed iteration persists");
+        assert!(store.load(0).is_err(), "no checkpoint before the first");
     }
 
     #[test]
@@ -281,7 +275,7 @@ mod tests {
         };
         hlm_obs::install(hlm_obs::Recorder::enabled());
         let store = CheckpointStore::new(Box::new(MemIo::new()));
-        let mut ctrl = TrainControl::new("t", &store).with_checkpoint_every(2);
+        let mut ctrl = TrainControl::new("t", &store);
         for done in 1..=4u64 {
             ctrl.checkpoint(done, || {
                 std::thread::sleep(std::time::Duration::from_millis(30));

@@ -27,6 +27,8 @@
 //! completes and passes divergence checks, and resuming from it continues
 //! the run bit-for-bit identically to one that was never interrupted.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod checkpoint;
 pub mod control;
 pub mod error;

@@ -34,6 +34,8 @@
 //! injected network fault ends in a clean response or a closed socket —
 //! never a hung thread or a poisoned queue.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod http;
 pub mod queue;
 pub mod replay;
@@ -260,7 +262,16 @@ fn read_bundle(shared: &Shared) -> Arc<ModelBundle> {
 /// (test and embedded use).
 pub struct Server {
     listener: TcpListener,
+    addr: SocketAddr,
     shared: Arc<Shared>,
+}
+
+/// The threads a running accept loop owns: the batch workers, and the stop
+/// watcher, which exits once `loop_done` is dropped.
+struct Threads {
+    workers: Vec<JoinHandle<()>>,
+    watcher: JoinHandle<()>,
+    loop_done: mpsc::Sender<()>,
 }
 
 impl Server {
@@ -273,9 +284,11 @@ impl Server {
         loader: Option<BundleLoader>,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        let addr = listener.local_addr()?;
         let queue = AdmissionQueue::new(config.queue_capacity.max(1));
         Ok(Server {
             listener,
+            addr,
             shared: Arc::new(Shared {
                 config,
                 engine,
@@ -291,9 +304,43 @@ impl Server {
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener
-            .local_addr()
-            .expect("listener has a local addr")
+        self.addr
+    }
+
+    /// Starts the batch workers and the stop watcher. If one cannot start,
+    /// the workers already running are stopped and joined.
+    fn spawn_threads(&self, stop: &Arc<AtomicBool>) -> std::io::Result<Threads> {
+        let mut workers = Vec::new();
+        let abandon = |workers: Vec<JoinHandle<()>>, e| {
+            self.shared.queue.close();
+            for w in workers {
+                let _ = w.join();
+            }
+            e
+        };
+        for i in 0..self.shared.config.workers.max(1) {
+            let shared = Arc::clone(&self.shared);
+            let spawned = std::thread::Builder::new()
+                .name(format!("hlm-serve-worker-{i}"))
+                .spawn(move || worker_loop(&shared));
+            match spawned {
+                Ok(worker) => workers.push(worker),
+                Err(e) => return Err(abandon(workers, e)),
+            }
+        }
+        let (loop_done, loop_exited) = mpsc::channel::<()>();
+        let (stop, wake_addr) = (Arc::clone(stop), wake_address(self.addr));
+        let spawned = std::thread::Builder::new()
+            .name("hlm-serve-wake".into())
+            .spawn(move || wake_on_stop(&stop, wake_addr, &loop_exited));
+        match spawned {
+            Ok(watcher) => Ok(Threads {
+                workers,
+                watcher,
+                loop_done,
+            }),
+            Err(e) => Err(abandon(workers, e)),
+        }
     }
 
     /// Serve until `stop` turns true, then drain: stop accepting, flush
@@ -305,29 +352,21 @@ impl Server {
     /// as it arrives. A watcher thread wakes the loop when `stop` turns
     /// true, whoever flips it: [`ServerHandle::shutdown`], its drop, or the
     /// handler of [`install_term_handler`].
-    pub fn run(self, stop: Arc<AtomicBool>) {
-        let wake_addr = wake_address(self.local_addr());
-        let Server { listener, shared } = self;
+    ///
+    /// # Errors
+    /// A batch worker or the stop watcher thread could not be spawned; the
+    /// server then accepts nothing.
+    pub fn run(self, stop: Arc<AtomicBool>) -> std::io::Result<()> {
+        let threads = self.spawn_threads(&stop)?;
+        self.serve(&stop, threads);
+        Ok(())
+    }
 
-        let (loop_done, loop_exited) = mpsc::channel::<()>();
-        let watcher = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("hlm-serve-wake".into())
-                .spawn(move || wake_on_stop(&stop, wake_addr, &loop_exited))
-                .expect("spawn stop watcher")
-        };
-
-        let workers: Vec<JoinHandle<()>> = (0..shared.config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("hlm-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
-            })
-            .collect();
-
+    /// The accept loop and the drain behind [`Server::run`].
+    fn serve(self, stop: &AtomicBool, threads: Threads) {
+        let Server {
+            listener, shared, ..
+        } = self;
         while !stop.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _peer)) => {
@@ -353,14 +392,14 @@ impl Server {
                 Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         }
-        drop(loop_done);
-        let _ = watcher.join();
+        drop(threads.loop_done);
+        let _ = threads.watcher.join();
 
         // Drain: refuse new work, flush what was admitted, then let
         // connections finish writing.
         shared.draining.store(true, Ordering::SeqCst);
         shared.queue.close();
-        for w in workers {
+        for w in threads.workers {
             let _ = w.join();
         }
         let grace = Duration::from_millis(shared.config.drain_grace_millis);
@@ -373,23 +412,37 @@ impl Server {
 
     /// Run on a background thread; the returned handle shuts the server
     /// down (and drains it) on [`ServerHandle::shutdown`] or drop.
-    pub fn start(self) -> ServerHandle {
-        let addr = self.local_addr();
+    ///
+    /// # Errors
+    /// The accept thread, a batch worker or the stop watcher could not be
+    /// spawned.
+    pub fn start(self) -> std::io::Result<ServerHandle> {
+        let addr = self.addr;
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::clone(&self.shared);
-        let thread = {
+        let threads = self.spawn_threads(&stop)?;
+        let spawned = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("hlm-serve-accept".into())
-                .spawn(move || self.run(stop))
-                .expect("spawn accept loop")
+                .spawn(move || self.serve(&stop, threads))
         };
-        ServerHandle {
+        let thread = match spawned {
+            Ok(thread) => thread,
+            Err(e) => {
+                // The unstarted loop took the thread handles with it: the
+                // watcher exits on its dropped channel, the workers once
+                // the queue closes.
+                shared.queue.close();
+                return Err(e);
+            }
+        };
+        Ok(ServerHandle {
             addr,
             stop,
             shared,
             thread: Some(thread),
-        }
+        })
     }
 }
 

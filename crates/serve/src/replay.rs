@@ -366,7 +366,7 @@ pub fn replay_stream(
     let server = Server::bind(cfg.server.clone(), engine, bundle, Some(loader))
         .map_err(|e| invalid(format!("bind: {e}")))?;
     let addr = server.local_addr();
-    let handle = server.start();
+    let handle = server.start().map_err(|e| invalid(format!("start: {e}")))?;
 
     let rec = hlm_obs::global();
     let mut outcome = ReplayOutcome {

@@ -65,7 +65,7 @@ fn start_default(engine: &Arc<Engine>) -> (ServerHandle, LdaModel) {
     let model = trained_model(engine);
     let b = bundle(engine, model.clone());
     let server = Server::bind(ServerConfig::default(), Arc::clone(engine), b, None).unwrap();
-    (server.start(), model)
+    (server.start().unwrap(), model)
 }
 
 /// Minimal one-shot HTTP client: returns (status, whole response text).
@@ -170,7 +170,7 @@ fn batched_answers_match_direct_application_calls() {
     let reference = bundle(&engine, model.clone());
     let serving = bundle(&engine, model);
     let server = Server::bind(ServerConfig::default(), Arc::clone(&engine), serving, None).unwrap();
-    let handle = server.start();
+    let handle = server.start().unwrap();
 
     let direct = reference
         .app
@@ -288,7 +288,7 @@ fn overload_sheds_with_503_and_retry_after_instead_of_queueing() {
     };
     let (b, hold, started) = gated_bundle(&engine);
     let server = Server::bind(config, Arc::clone(&engine), b, None).unwrap();
-    let handle = server.start();
+    let handle = server.start().unwrap();
     let addr = handle.addr();
 
     // r1 enters the (only) worker and blocks on the gate; once `started`
@@ -327,7 +327,7 @@ fn queue_expired_requests_get_504_and_degraded_fallback_tags_the_response() {
     };
     let b = slow_bundle(&engine, Duration::from_millis(400));
     let server = Server::bind(config, Arc::clone(&engine), b, None).unwrap();
-    let handle = server.start();
+    let handle = server.start().unwrap();
     let addr = handle.addr();
 
     // A zero budget is spent by the time the worker pops the job, whatever
@@ -366,7 +366,7 @@ fn hot_swap_installs_canaried_bundle_and_bumps_generation() {
         Some(loader),
     )
     .unwrap();
-    let handle = server.start();
+    let handle = server.start().unwrap();
     let addr = handle.addr();
     let before = handle.generation();
 
@@ -426,7 +426,7 @@ fn failed_canary_rolls_back_and_keeps_serving_old_generation() {
         Some(loader),
     )
     .unwrap();
-    let handle = server.start();
+    let handle = server.start().unwrap();
     let addr = handle.addr();
     let before = handle.generation();
 
@@ -470,7 +470,7 @@ fn network_fault_suite_never_hangs_the_server() {
     let model = trained_model(&engine);
     let b = bundle(&engine, model);
     let server = Server::bind(config, Arc::clone(&engine), b, None).unwrap();
-    let handle = server.start();
+    let handle = server.start().unwrap();
     let addr = handle.addr();
 
     // Drill 1 — partial write: the client "crashes" 10 bytes into its
@@ -566,7 +566,7 @@ fn graceful_drain_answers_admitted_work_then_stops() {
     };
     let (b, hold, started) = gated_bundle(&engine);
     let server = Server::bind(config, Arc::clone(&engine), b, None).unwrap();
-    let handle = server.start();
+    let handle = server.start().unwrap();
     let addr = handle.addr();
 
     // Admit one request and wait until the worker is provably processing
@@ -617,7 +617,7 @@ fn stop_flag_wakes_an_idle_accept_loop() {
     let stop = Arc::new(AtomicBool::new(false));
     let running = {
         let stop = Arc::clone(&stop);
-        spawn_watched(move || server.run(stop))
+        spawn_watched(move || server.run(stop).unwrap())
     };
 
     // One answered request shows the loop is up; it then blocks in

@@ -7,7 +7,7 @@
 //! ```
 
 use hlm_corpus::Split;
-use hlm_engine::{LdaEstimator, ModelSpec};
+use hlm_engine::{LdaEstimator, ModelSpec, TrainPlan};
 use hlm_eval::report::{fmt_f, Table};
 use hlm_eval::sequentiality_report;
 use hlm_examples::{example_corpus, header};
@@ -67,8 +67,14 @@ fn main() {
             beta: 0.1,
             ..Default::default()
         };
-        let model =
-            hlm_engine::fit_lda(config, LdaEstimator::Gibbs, &train_docs).expect("valid LDA spec");
+        let model = hlm_engine::fit_lda_resilient(
+            config,
+            LdaEstimator::Gibbs,
+            &train_docs,
+            TrainPlan::new(),
+        )
+        .expect("valid LDA spec")
+        .model;
         rows.push((
             format!("LDA{k}"),
             document_completion_perplexity(&model, &test_docs),
@@ -98,8 +104,9 @@ fn main() {
         seed: 2019,
     };
     let lstm = lstm_spec
-        .fit_sequences(&train_seqs, &valid_seqs)
-        .expect("valid LSTM spec");
+        .fit_sequences(&train_seqs, &valid_seqs, TrainPlan::new())
+        .expect("valid LSTM spec")
+        .model;
     rows.push((
         "LSTM (1 layer × 100)".into(),
         lstm.perplexity(&test_seqs)
@@ -111,8 +118,9 @@ fn main() {
         ("unigram bag-of-words", NgramConfig::unigram(m)),
     ] {
         let trained = ModelSpec::Ngram(cfg)
-            .fit_sequences(&train_seqs, &[])
-            .expect("valid n-gram spec");
+            .fit_sequences(&train_seqs, &[], TrainPlan::new())
+            .expect("valid n-gram spec")
+            .model;
         let ppl = trained
             .perplexity(&test_seqs)
             .expect("n-grams support perplexity");

@@ -3,7 +3,7 @@
 
 use hlm_corpus::{CompanyId, Corpus};
 use hlm_datagen::GeneratorConfig;
-use hlm_engine::LdaEstimator;
+use hlm_engine::{LdaEstimator, TrainPlan};
 use hlm_lda::{LdaConfig, LdaModel, WeightedDoc};
 
 /// Default example corpus size (override with `HLM_EXAMPLE_COMPANIES`).
@@ -36,8 +36,9 @@ pub fn example_lda(corpus: &Corpus, n_topics: usize) -> (LdaModel, Vec<WeightedD
         beta: 0.1,
         ..Default::default()
     };
-    let model = hlm_engine::fit_lda(config, LdaEstimator::Gibbs, &docs)
-        .expect("the example corpus yields a valid LDA spec");
+    let model = hlm_engine::fit_lda_resilient(config, LdaEstimator::Gibbs, &docs, TrainPlan::new())
+        .expect("the example corpus yields a valid LDA spec")
+        .model;
     (model, docs)
 }
 

@@ -63,10 +63,14 @@ fn full_recommendation_run_is_reproducible() {
         retrain_per_window: false,
         require_history: true,
     };
-    let factory =
-        hlm_core::LdaRecommenderFactory::new(hlm_tests::quick_lda_config(3, corpus.vocab().len()));
+    let factory = hlm_engine::ModelSpec::Lda {
+        config: hlm_tests::quick_lda_config(3, corpus.vocab().len()),
+        estimator: hlm_engine::LdaEstimator::Gibbs,
+    }
+    .factory()
+    .expect("Gibbs LDA has a sliding-window factory");
     let run = || {
-        evaluate_recommender(&factory, &corpus, &split.train, &split.test, &cfg)
+        evaluate_recommender(factory.as_ref(), &corpus, &split.train, &split.test, &cfg)
             .into_iter()
             .map(|p| (p.recall.mean, p.f1.mean, p.retrieved.mean))
             .collect::<Vec<_>>()

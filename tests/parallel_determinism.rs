@@ -244,13 +244,17 @@ fn parallel_hot_paths_are_bit_identical_across_thread_counts() {
     hlm_engine::set_threads(2);
     hlm_obs::install(hlm_obs::Recorder::enabled());
     let ids: Vec<_> = corpus.ids().collect();
-    let specs = vec![
+    let specs = [
         hlm_engine::ModelSpec::Ngram(hlm_ngram::NgramConfig::unigram(corpus.vocab().len())),
         hlm_engine::ModelSpec::Ngram(hlm_ngram::NgramConfig::trigram(corpus.vocab().len())),
     ];
     let engine = hlm_engine::Engine::new(corpus.clone());
+    let pool = hlm_par::Pool::global();
     for _ in 0..3 {
-        let results = engine.train_many(&specs, &ids, hlm_corpus::Month(i32::MAX));
+        let results = pool.run(specs.len(), |i| {
+            let plan = hlm_engine::TrainPlan::new();
+            engine.train(&specs[i], &ids, hlm_corpus::Month(i32::MAX), plan)
+        });
         assert!(results.iter().all(Result::is_ok));
     }
     let snap = hlm_obs::global().snapshot();

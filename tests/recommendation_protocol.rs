@@ -2,9 +2,29 @@
 //! families.
 
 use hlm_corpus::{Month, SlidingWindows};
-use hlm_eval::{evaluate_recommender, RandomRecommender, RecEvalConfig};
+use hlm_engine::{LdaEstimator, ModelSpec};
+use hlm_eval::{evaluate_recommender, RandomRecommender, RecEvalConfig, RecommenderFactory};
 use hlm_ngram::NgramConfig;
 use hlm_tests::{quick_lda_config, test_corpus, test_split};
+
+fn factory(spec: ModelSpec) -> Box<dyn RecommenderFactory> {
+    spec.factory()
+        .expect("the spec has a sliding-window factory")
+}
+
+fn lda3(vocab: usize) -> Box<dyn RecommenderFactory> {
+    factory(ModelSpec::Lda {
+        config: quick_lda_config(3, vocab),
+        estimator: LdaEstimator::Gibbs,
+    })
+}
+
+fn chh(vocab: usize) -> Box<dyn RecommenderFactory> {
+    factory(ModelSpec::ChhExact {
+        depth: 2,
+        vocab_size: vocab,
+    })
+}
 
 fn protocol() -> RecEvalConfig {
     RecEvalConfig {
@@ -22,17 +42,12 @@ fn counting_invariants_hold_for_every_method() {
     let cfg = protocol();
     let m = corpus.vocab().len();
 
-    let lda = hlm_core::LdaRecommenderFactory::new(quick_lda_config(3, m));
-    let chh = hlm_core::ChhRecommenderFactory { depth: 2 };
-    let ngram = hlm_core::NgramRecommenderFactory::new(NgramConfig::bigram(m));
+    let lda = lda3(m);
+    let chh = chh(m);
+    let ngram = factory(ModelSpec::Ngram(NgramConfig::bigram(m)));
     let random = RandomRecommender::new(m);
 
-    for factory in [
-        &lda as &dyn hlm_eval::RecommenderFactory,
-        &chh,
-        &ngram,
-        &random,
-    ] {
+    for factory in [lda.as_ref(), chh.as_ref(), ngram.as_ref(), &random] {
         let pts = evaluate_recommender(factory, &corpus, &split.train, &split.test, &cfg);
         assert_eq!(pts.len(), cfg.thresholds.len(), "{}", factory.name());
         for p in &pts {
@@ -93,8 +108,8 @@ fn trained_models_beat_random_on_precision() {
     );
     let base_rate = random[0].precision.mean;
 
-    let lda = hlm_core::LdaRecommenderFactory::new(quick_lda_config(3, m));
-    let pts = evaluate_recommender(&lda, &corpus, &split.train, &split.test, &cfg);
+    let lda = lda3(m);
+    let pts = evaluate_recommender(lda.as_ref(), &corpus, &split.train, &split.test, &cfg);
     // At phi = 0.05 LDA should be selective and beat the base rate.
     let p_lda = pts[2].precision.mean;
     assert!(
@@ -116,8 +131,8 @@ fn paper_windows_are_thirteen() {
         retrain_per_window: false,
         require_history: true,
     };
-    let chh = hlm_core::ChhRecommenderFactory { depth: 2 };
-    let pts = evaluate_recommender(&chh, &corpus, &split.train, &split.test, &cfg);
+    let chh = chh(corpus.vocab().len());
+    let pts = evaluate_recommender(chh.as_ref(), &corpus, &split.train, &split.test, &cfg);
     assert_eq!(pts[0].retrieved.n, 13, "one observation per window");
 }
 

@@ -272,13 +272,11 @@ fn engine_resilient_training_resumes_through_the_facade() {
         .on_disk(&dir)
         .unwrap()
         .with_guard(RunGuard::unlimited().abort_at_iteration(25));
-    let err = engine
-        .train_resilient(&spec, &ids, cutoff, killed)
-        .unwrap_err();
+    let err = engine.train(&spec, &ids, cutoff, killed).unwrap_err();
     assert!(err.is_interruption());
 
     let resumed = engine
-        .train_resilient(
+        .train(
             &spec,
             &ids,
             cutoff,
@@ -288,9 +286,7 @@ fn engine_resilient_training_resumes_through_the_facade() {
     assert_eq!(resumed.resumed_from, Some(25));
     assert!(resumed.rolled_back.is_none());
 
-    let plain = engine
-        .train_resilient(&spec, &ids, cutoff, TrainPlan::new())
-        .unwrap();
+    let plain = engine.train(&spec, &ids, cutoff, TrainPlan::new()).unwrap();
     let seqs: Vec<Vec<usize>> = index_sequences(engine.corpus(), &ids)
         .into_iter()
         .filter(|s| !s.is_empty())
@@ -309,37 +305,30 @@ fn degraded_serving_answers_from_the_fallback_when_the_primary_cannot() {
     let vocab = corpus.vocab().len();
     let engine = Engine::new(corpus);
 
+    // Every company's full history is before the cutoff, so the primary
+    // trains on what `resilient_over` fits the unigram fallback on.
+    let serve = |spec: &ModelSpec| {
+        let fit = engine.train(spec, &ids, cutoff, TrainPlan::new()).unwrap();
+        engine.resilient_over(fit.model, ServeOptions::default())
+    };
+
     // A healthy n-gram primary serves untagged responses.
-    let healthy = engine
-        .serve_resilient(
-            &ModelSpec::Ngram(NgramConfig {
-                order: 2,
-                vocab_size: vocab,
-                lambdas: None,
-                add_k: 0.5,
-            }),
-            &ids,
-            cutoff,
-            ServeOptions::default(),
-        )
-        .unwrap();
+    let healthy = serve(&ModelSpec::Ngram(NgramConfig {
+        order: 2,
+        vocab_size: vocab,
+        lambdas: None,
+        add_k: 0.5,
+    }));
     let served = healthy.recommend(&[0, 1]);
     assert!(!served.is_degraded(), "{:?}", served.degraded);
     assert_eq!(served.value.len(), vocab);
 
     // CHH cannot answer perplexity at all: the response comes from the
     // unigram fallback and says so.
-    let chh = engine
-        .serve_resilient(
-            &ModelSpec::ChhExact {
-                depth: 2,
-                vocab_size: vocab,
-            },
-            &ids,
-            cutoff,
-            ServeOptions::default(),
-        )
-        .unwrap();
+    let chh = serve(&ModelSpec::ChhExact {
+        depth: 2,
+        vocab_size: vocab,
+    });
     let seqs = index_sequences(engine.corpus(), &ids);
     let ppl = chh.perplexity(&seqs);
     assert!(ppl.is_degraded());

@@ -4,7 +4,7 @@
 use hlm_core::representations::lda_representations;
 use hlm_core::{CompanyFilter, CoreError, DistanceMetric, SalesApplication};
 use hlm_corpus::CompanyId;
-use hlm_engine::{Engine, EngineError, ModelKind};
+use hlm_engine::{Engine, EngineError, ModelKind, TrainPlan};
 use hlm_tests::{quick_lda, test_corpus};
 
 fn build_app(n: usize, seed: u64) -> SalesApplication {
@@ -241,7 +241,9 @@ fn serving_cache_memoizes_and_is_invalidated_on_retrain() {
     let generation = engine.serving_cache().generation();
     let spec =
         hlm_engine::ModelSpec::Ngram(hlm_ngram::NgramConfig::unigram(app.corpus().vocab().len()));
-    engine.train_full(&spec).expect("unigram spec is valid");
+    engine
+        .train(&spec, &ids, hlm_corpus::Month(i32::MAX), TrainPlan::new())
+        .expect("unigram spec is valid");
     assert!(engine.serving_cache().generation() > generation);
     assert!(engine.serving_cache().is_empty());
 

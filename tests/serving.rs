@@ -70,7 +70,7 @@ fn child_server_process() {
     std::fs::write(dir.join("iter"), bundle.checkpoint_iteration.to_string()).expect("child: iter");
     let server = Server::bind(ServerConfig::default(), engine, bundle, None).expect("child: bind");
     let addr = server.local_addr();
-    let handle = server.start();
+    let handle = server.start().expect("child: start");
     std::fs::write(dir.join("port"), addr.port().to_string()).expect("child: port file");
     // Serve until killed; self-destruct eventually so a crashed parent
     // cannot leak a process.

@@ -14,7 +14,7 @@
 use hlm_corpus::{CorpusSource, MemShardSource, ShardStore};
 use hlm_datagen::GeneratorConfig;
 use hlm_engine::{
-    fit_lda, fit_lda_sharded_gibbs, fit_lda_sharded_online_vb, LdaEstimator, TrainPlan,
+    fit_lda_resilient, fit_lda_sharded_gibbs, fit_lda_sharded_online_vb, LdaEstimator, TrainPlan,
 };
 use hlm_lda::{LdaConfig, OnlineVbOptions};
 use hlm_resilience::RunGuard;
@@ -68,7 +68,9 @@ fn sharded_gibbs_over_disk_matches_in_memory_to_the_last_ulp() {
     let docs = hlm_core::representations::binary_docs(&corpus, &ids);
     let lda = lda_config(corpus.vocab().len());
 
-    let reference = fit_lda(lda.clone(), LdaEstimator::Gibbs, &docs).expect("in-memory fit");
+    let reference = fit_lda_resilient(lda.clone(), LdaEstimator::Gibbs, &docs, TrainPlan::new())
+        .expect("in-memory fit")
+        .model;
 
     for n_shards in [1usize, 3] {
         let dir = tmp_dir(&format!("gibbs_{n_shards}"));
