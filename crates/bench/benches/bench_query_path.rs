@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the serving read-path kernels
-//! (DESIGN.md §3.10): the pre-store scalar scan, the `RepStore` exact f64
-//! single-query kernel, the blocked multi-query kernel, and the opt-in f32
-//! kernel, at K ∈ {16, 64} over n ∈ {20k, 200k} companies.
+//! (DESIGN.md §3.10): the pre-store scalar scan, the `RepStore`
+//! single-query kernel and the blocked multi-query kernel, at
+//! K ∈ {16, 64} over n ∈ {20k, 200k} companies.
 //!
 //! Threads are pinned to 1 so the numbers compare *kernels*, not
 //! parallelism — the same no-parallelism-credit rule the `hlm-bench`
@@ -9,7 +9,7 @@
 //! 16-query micro-batch; divide by 16 for per-query cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hlm_core::repstore::{PreparedQuery, RepStore, StorePrecision};
+use hlm_core::repstore::{PreparedQuery, RepStore};
 use hlm_core::{top_k_similar_scalar, DistanceMetric};
 use hlm_linalg::Matrix;
 use std::cell::Cell;
@@ -19,8 +19,8 @@ const DIMS: usize = 16;
 const CENTERS: usize = 64;
 const BATCH: usize = 16;
 
-/// Clustered blobs — the representation shape IVF (and the f32 recall gate)
-/// assumes; same generator family as the phase-6 harness.
+/// Clustered blobs — the representation shape IVF assumes; same generator
+/// family as the phase-6 harness.
 fn blob_matrix(rows: usize, seed: u64) -> Matrix {
     let mut state = seed.max(1);
     let mut next = move || {
@@ -48,16 +48,11 @@ fn bench_query_path(c: &mut Criterion) {
     let metric = DistanceMetric::Cosine;
     for n in [20_000usize, 200_000] {
         let reps = Arc::new(blob_matrix(n, 20190326));
-        let f64_store = RepStore::flat(Arc::clone(&reps), metric, StorePrecision::F64);
-        let f32_store = RepStore::flat(Arc::clone(&reps), metric, StorePrecision::F32);
+        let store = RepStore::flat(Arc::clone(&reps), metric);
         let queries: Vec<usize> = (0..BATCH).map(|i| (i * 997) % n).collect();
-        let pqs64: Vec<PreparedQuery> = queries
+        let pqs: Vec<PreparedQuery> = queries
             .iter()
-            .map(|&q| f64_store.prepare(reps.row(q)))
-            .collect();
-        let pqs32: Vec<PreparedQuery> = queries
-            .iter()
-            .map(|&q| f32_store.prepare(reps.row(q)))
+            .map(|&q| store.prepare(reps.row(q)))
             .collect();
         let excludes: Vec<Option<usize>> = queries.iter().map(|&q| Some(q)).collect();
         let mut group = c.benchmark_group(&format!("query_path_n{}k", n / 1000));
@@ -76,22 +71,12 @@ fn bench_query_path(c: &mut Criterion) {
                 b.iter(|| {
                     let i = turn.get();
                     turn.set((i + 1) % BATCH);
-                    std::hint::black_box(f64_store.top_k(&pqs64[i], None, k, Some(queries[i])))
+                    let q = queries[i];
+                    std::hint::black_box(store.top_k(&pqs[i], None, k, |r| r != q))
                 })
             });
             group.bench_function(&format!("blocked_f64_k{k}_batch{BATCH}"), |b| {
-                b.iter(|| std::hint::black_box(f64_store.top_k_batch(&pqs64, k, &excludes)))
-            });
-            let turn = Cell::new(0usize);
-            group.bench_function(&format!("store_f32_k{k}"), |b| {
-                b.iter(|| {
-                    let i = turn.get();
-                    turn.set((i + 1) % BATCH);
-                    std::hint::black_box(f32_store.top_k(&pqs32[i], None, k, Some(queries[i])))
-                })
-            });
-            group.bench_function(&format!("blocked_f32_k{k}_batch{BATCH}"), |b| {
-                b.iter(|| std::hint::black_box(f32_store.top_k_batch(&pqs32, k, &excludes)))
+                b.iter(|| std::hint::black_box(store.top_k_batch(&pqs, k, &excludes)))
             });
         }
         group.finish();

@@ -4,10 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hlm_cluster::{kmeans, silhouette_score, tsne, KmeansOptions, TsneOptions};
-use hlm_core::{top_k_similar, DistanceMetric};
+use hlm_core::{DistanceMetric, RepStore};
 use hlm_corpus::tfidf::TfIdf;
 use hlm_datagen::GeneratorConfig;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_datagen(c: &mut Criterion) {
     let mut group = c.benchmark_group("datagen");
@@ -74,13 +75,19 @@ fn bench_tsne(c: &mut Criterion) {
 fn bench_similarity(c: &mut Criterion) {
     let corpus = hlm_datagen::generate(&GeneratorConfig::with_size_and_seed(5000, 9));
     let ids: Vec<_> = corpus.ids().collect();
-    let reps = corpus.binary_matrix_for(&ids);
-    c.bench_function("top_k_similar_5000x38_cosine", |b| {
-        b.iter(|| top_k_similar(black_box(&reps), 17, 10, DistanceMetric::Cosine))
-    });
-    c.bench_function("top_k_similar_5000x38_euclidean", |b| {
-        b.iter(|| top_k_similar(black_box(&reps), 17, 10, DistanceMetric::Euclidean))
-    });
+    let reps = Arc::new(corpus.binary_matrix_for(&ids));
+    for (name, metric) in [
+        ("top_k_similar_5000x38_cosine", DistanceMetric::Cosine),
+        ("top_k_similar_5000x38_euclidean", DistanceMetric::Euclidean),
+    ] {
+        let store = RepStore::flat(Arc::clone(&reps), metric);
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let pq = store.prepare(reps.row(17));
+                store.top_k(black_box(&pq), None, 10, |r| r != 17)
+            })
+        });
+    }
 }
 
 fn bench_linalg(c: &mut Criterion) {

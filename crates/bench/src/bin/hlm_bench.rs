@@ -30,12 +30,11 @@
 //! 6. **Query-path kernels** (PR 10) — queries/s and p50/p99 of the
 //!    serving read path over synthetic clustered blobs at n = 20k and
 //!    n = 200k companies: the pre-store scalar scan, the [`RepStore`]
-//!    exact-f64 single-query kernel, the blocked 16-query kernel, and
-//!    the opt-in f32 kernel, all pinned to one hardware thread (no
-//!    parallelism credit), plus IVF recall@10 at n_probe ∈ {1, 4, all}
-//!    for both store precisions. This phase writes its own record,
+//!    single-query kernel and the blocked 16-query kernel, all pinned to
+//!    one hardware thread (no parallelism credit), plus IVF recall@10 at
+//!    n_probe ∈ {1, 4, all}. This phase writes its own record,
 //!    `BENCH_pr10.json`, which the CI perf job gates (blocked-f64
-//!    ≥ 1.5× scalar at n = 200k; f32 full-probe recall@10 ≥ 0.999).
+//!    ≥ 1.5× scalar at n = 200k; full-probe recall@10 = 1.0).
 //!
 //! At `HLM_SCALE=xl` (one million companies) phases 1–3 and 5–6 are
 //! skipped — the whole point of that scale is that the corpus does not
@@ -59,9 +58,7 @@
 //! says so in its `caveat` field — read it before quoting any figure.
 
 use hlm_bench::ExpScale;
-use hlm_core::{
-    top_k_similar_scalar, ClusteredIndex, CompanyFilter, DistanceMetric, RepStore, StorePrecision,
-};
+use hlm_core::{top_k_similar_scalar, ClusteredIndex, CompanyFilter, DistanceMetric, RepStore};
 use hlm_corpus::CorpusSource;
 use hlm_datagen::GeneratorConfig;
 use hlm_engine::{effective_threads, set_threads, Engine, TrainPlan};
@@ -512,18 +509,16 @@ struct QueryKernelRun {
 }
 
 /// Phase 6 at one corpus size: the kernel shoot-out plus the IVF
-/// recall@10 sweep for both store precisions.
+/// recall@10 sweep.
 struct QuerySizeGroup {
     n: usize,
     n_cells: usize,
     kernels: Vec<QueryKernelRun>,
     blocked_f64_speedup: f64,
-    f32_speedup: f64,
     recall_queries: usize,
-    /// Probe widths measured, last entry = `n_cells` (exact for f64).
+    /// Probe widths measured, last entry = `n_cells` (exact).
     n_probes: Vec<usize>,
-    recall_f64: Vec<f64>,
-    recall_f32: Vec<f64>,
+    recall: Vec<f64>,
 }
 
 /// Everything phase 6 measures (query-path kernels; skipped at xl).
@@ -539,10 +534,9 @@ const QP_CENTERS: usize = 64;
 const QP_BATCH: usize = 16;
 const QP_K: usize = 10;
 
-/// Clustered Gaussian blobs — the representation shape IVF (and the f32
-/// recall gate) assumes, with nearest-neighbour gaps large enough that
-/// f32 rounding cannot flip the top-10 boundary. Same generator family as
-/// `benches/bench_query_path.rs` and `tests/query_path.rs`.
+/// Clustered Gaussian blobs — the representation shape IVF assumes. Same
+/// generator family as `benches/bench_query_path.rs` and
+/// `tests/query_path.rs`.
 fn blob_matrix(rows: usize, seed: u64) -> Matrix {
     let mut state = seed.max(1);
     let mut next = move || {
@@ -587,7 +581,7 @@ fn time_calls<F: FnMut(usize)>(n_queries: usize, rounds: usize, mut call: F) -> 
 
 /// Phase 6: the PR 10 serving read-path kernel shoot-out. Synthetic blob
 /// representations (the corpus plays no role in the kernels), scalar scan
-/// vs `RepStore` f64 vs blocked vs f32, strictly one thread — the same
+/// vs `RepStore` single-query vs blocked, strictly one thread — the same
 /// no-parallelism-credit rule the thread sweeps above follow — plus the
 /// IVF recall@10 diagnostic at n_probe ∈ {1, 4, all}.
 fn run_query_path(scale: &ExpScale) -> QueryPathReport {
@@ -603,16 +597,11 @@ fn run_query_path(scale: &ExpScale) -> QueryPathReport {
     for &n in sizes {
         eprintln!("[hlm-bench] query path: n={n}, building stores and IVF indexes…");
         let reps = Arc::new(blob_matrix(n, scale.seed));
-        let f64_store = RepStore::flat(Arc::clone(&reps), metric, StorePrecision::F64);
-        let f32_store = RepStore::flat(Arc::clone(&reps), metric, StorePrecision::F32);
+        let store = RepStore::flat(Arc::clone(&reps), metric);
         let query_rows: Vec<usize> = (0..N_QUERIES).map(|i| (i * 9_973) % n).collect();
-        let pqs64: Vec<_> = query_rows
+        let pqs: Vec<_> = query_rows
             .iter()
-            .map(|&q| f64_store.prepare(reps.row(q)))
-            .collect();
-        let pqs32: Vec<_> = query_rows
-            .iter()
-            .map(|&q| f32_store.prepare(reps.row(q)))
+            .map(|&q| store.prepare(reps.row(q)))
             .collect();
         let excludes: Vec<Option<usize>> = query_rows.iter().map(|&q| Some(q)).collect();
 
@@ -621,26 +610,11 @@ fn run_query_path(scale: &ExpScale) -> QueryPathReport {
         // kernel timings below are pinned.
         set_threads(0);
         let n_cells = QP_CENTERS.min(n);
-        let idx64 = ClusteredIndex::build_with_precision(
-            (*reps).clone(),
-            n_cells,
-            metric,
-            scale.seed,
-            StorePrecision::F64,
-        )
-        .expect("valid cell count");
-        let idx32 = ClusteredIndex::build_with_precision(
-            (*reps).clone(),
-            n_cells,
-            metric,
-            scale.seed,
-            StorePrecision::F32,
-        )
-        .expect("valid cell count");
+        let index = ClusteredIndex::build(Arc::clone(&reps), n_cells, metric, scale.seed)
+            .expect("valid cell count");
         let recall_rows: Vec<usize> = (0..n).step_by((n / 200).max(1)).collect();
         let n_probes = vec![1usize, 4.min(n_cells), n_cells];
-        let recall_f64 = idx64.recall_at_k_many(&recall_rows, QP_K, &n_probes);
-        let recall_f32 = idx32.recall_at_k_many(&recall_rows, QP_K, &n_probes);
+        let recall = index.recall_at_k_many(&recall_rows, QP_K, &n_probes);
 
         // Kernel timings: one hardware thread, no parallelism credit.
         set_threads(1);
@@ -660,7 +634,8 @@ fn run_query_path(scale: &ExpScale) -> QueryPathReport {
             p99_us: p99,
         });
         let (qps, p50, p99) = time_calls(N_QUERIES, ROUNDS, |i| {
-            std::hint::black_box(f64_store.top_k(&pqs64[i], None, QP_K, Some(query_rows[i])));
+            let q = query_rows[i];
+            std::hint::black_box(store.top_k(&pqs[i], None, QP_K, |r| r != q));
         });
         kernels.push(QueryKernelRun {
             name: "store_f64",
@@ -672,39 +647,14 @@ fn run_query_path(scale: &ExpScale) -> QueryPathReport {
         let n_batches = N_QUERIES / QP_BATCH;
         let (qps, p50, p99) = time_calls(n_batches, ROUNDS, |b| {
             let s = b * QP_BATCH;
-            std::hint::black_box(f64_store.top_k_batch(
-                &pqs64[s..s + QP_BATCH],
+            std::hint::black_box(store.top_k_batch(
+                &pqs[s..s + QP_BATCH],
                 QP_K,
                 &excludes[s..s + QP_BATCH],
             ));
         });
         kernels.push(QueryKernelRun {
             name: "blocked_f64",
-            batch: QP_BATCH,
-            queries_per_second: qps * QP_BATCH as f64,
-            p50_us: p50 / QP_BATCH as f64,
-            p99_us: p99 / QP_BATCH as f64,
-        });
-        let (qps, p50, p99) = time_calls(N_QUERIES, ROUNDS, |i| {
-            std::hint::black_box(f32_store.top_k(&pqs32[i], None, QP_K, Some(query_rows[i])));
-        });
-        kernels.push(QueryKernelRun {
-            name: "store_f32",
-            batch: 1,
-            queries_per_second: qps,
-            p50_us: p50,
-            p99_us: p99,
-        });
-        let (qps, p50, p99) = time_calls(n_batches, ROUNDS, |b| {
-            let s = b * QP_BATCH;
-            std::hint::black_box(f32_store.top_k_batch(
-                &pqs32[s..s + QP_BATCH],
-                QP_K,
-                &excludes[s..s + QP_BATCH],
-            ));
-        });
-        kernels.push(QueryKernelRun {
-            name: "blocked_f32",
             batch: QP_BATCH,
             queries_per_second: qps * QP_BATCH as f64,
             p50_us: p50 / QP_BATCH as f64,
@@ -721,12 +671,10 @@ fn run_query_path(scale: &ExpScale) -> QueryPathReport {
             n,
             n_cells,
             blocked_f64_speedup: json::finite_or(qps_of("blocked_f64") / qps_of("scalar_f64"), 0.0),
-            f32_speedup: json::finite_or(qps_of("store_f32") / qps_of("scalar_f64"), 0.0),
             kernels,
             recall_queries: recall_rows.len(),
             n_probes,
-            recall_f64,
-            recall_f32,
+            recall,
         });
     }
     QueryPathReport {
@@ -778,17 +726,16 @@ fn write_query_path_json(
         let _ = writeln!(j, "     ],");
         let _ = writeln!(
             j,
-            "     \"blocked_f64_speedup_vs_scalar\": {:.4}, \"f32_speedup_vs_scalar\": {:.4},",
-            g.blocked_f64_speedup, g.f32_speedup
+            "     \"blocked_f64_speedup_vs_scalar\": {:.4},",
+            g.blocked_f64_speedup
         );
         let _ = writeln!(j, "     \"recall_queries\": {},", g.recall_queries);
         let _ = writeln!(j, "     \"recall_at_10\": [");
         for (i, &p) in g.n_probes.iter().enumerate() {
             let _ = writeln!(
                 j,
-                "       {{\"n_probe\": {p}, \"f64\": {:.6}, \"f32\": {:.6}}}{}",
-                json::finite_or(g.recall_f64[i], 0.0),
-                json::finite_or(g.recall_f32[i], 0.0),
+                "       {{\"n_probe\": {p}, \"f64\": {:.6}}}{}",
+                json::finite_or(g.recall[i], 0.0),
                 if i + 1 < g.n_probes.len() { "," } else { "" }
             );
         }
@@ -947,10 +894,7 @@ fn main() {
                     r.name, r.queries_per_second, r.p50_us, r.p99_us
                 );
             }
-            println!(
-                "    blocked-f64 vs scalar {:.2}x, f32 vs scalar {:.2}x",
-                g.blocked_f64_speedup, g.f32_speedup
-            );
+            println!("    blocked-f64 vs scalar {:.2}x", g.blocked_f64_speedup);
             let fmt = |rs: &[f64]| -> String {
                 g.n_probes
                     .iter()
@@ -959,8 +903,7 @@ fn main() {
                     .collect::<Vec<_>>()
                     .join("  ")
             };
-            println!("    recall@10 f64: {}", fmt(&g.recall_f64));
-            println!("    recall@10 f32: {}", fmt(&g.recall_f32));
+            println!("    recall@10: {}", fmt(&g.recall));
         }
     }
     let s = &sharded;

@@ -9,7 +9,7 @@
 
 use crate::cache::{CacheKey, FilterKey, ServingCache};
 use crate::error::CoreError;
-use crate::repstore::{PreparedQuery, RepStore, StorePrecision};
+use crate::repstore::{PreparedQuery, RepStore};
 use crate::similarity::DistanceMetric;
 use hlm_corpus::{CompanyId, Corpus, ProductId, Sic2};
 use hlm_linalg::Matrix;
@@ -106,8 +106,8 @@ pub struct SalesApplication {
     representations: Arc<Matrix>,
     metric: DistanceMetric,
     /// Flat scoring store over `representations` (shared, not copied):
-    /// cached norms, dot-product cosine, optional f32 image. The exact-scan
-    /// and blocked-batch paths run through it (DESIGN.md §3.10).
+    /// cached norms, dot-product cosine. The exact-scan and blocked-batch
+    /// paths run through it (DESIGN.md §3.10).
     store: RepStore,
     index: Option<(crate::index::ClusteredIndex, usize)>,
     /// Attached memo plus the cache generation this application's
@@ -116,7 +116,7 @@ pub struct SalesApplication {
 }
 
 impl SalesApplication {
-    /// Creates the application, scoring on the exact f64 path.
+    /// Creates the application over a flat scoring store.
     ///
     /// # Errors
     /// [`CoreError::RepresentationMismatch`] unless `representations` has
@@ -126,24 +126,6 @@ impl SalesApplication {
         representations: impl Into<Arc<Matrix>>,
         metric: DistanceMetric,
     ) -> Result<Self, CoreError> {
-        Self::new_with_precision(corpus, representations, metric, StorePrecision::F64)
-    }
-
-    /// [`SalesApplication::new`] with an explicit scoring precision.
-    /// [`StorePrecision::F32`] serves rankings from the reduced-precision
-    /// store — faster scans, gated by recall equivalence rather than
-    /// bit-identity (DESIGN.md §3.10); distances returned to clients are
-    /// the f32 scores widened to f64.
-    ///
-    /// # Errors
-    /// [`CoreError::RepresentationMismatch`] as for
-    /// [`SalesApplication::new`].
-    pub fn new_with_precision(
-        corpus: impl Into<Arc<Corpus>>,
-        representations: impl Into<Arc<Matrix>>,
-        metric: DistanceMetric,
-        precision: StorePrecision,
-    ) -> Result<Self, CoreError> {
         let corpus = corpus.into();
         let representations = representations.into();
         if representations.rows() != corpus.len() {
@@ -152,7 +134,7 @@ impl SalesApplication {
                 companies: corpus.len(),
             });
         }
-        let store = RepStore::flat(Arc::clone(&representations), metric, precision);
+        let store = RepStore::flat(Arc::clone(&representations), metric);
         Ok(SalesApplication {
             corpus,
             representations,
@@ -193,21 +175,14 @@ impl SalesApplication {
         if n_probe == 0 {
             return Err(CoreError::InvalidProbeCount);
         }
-        let index = crate::index::ClusteredIndex::build_with_precision(
+        let index = crate::index::ClusteredIndex::build(
             Arc::clone(&self.representations),
             n_cells,
             self.metric,
             seed,
-            self.store.precision(),
         )?;
         self.index = Some((index, n_probe));
         Ok(self)
-    }
-
-    /// The scoring precision of the backing store (and of any attached
-    /// index) — `f64` exact or opt-in `f32`.
-    pub fn store_precision(&self) -> StorePrecision {
-        self.store.precision()
     }
 
     /// The underlying corpus.
@@ -311,17 +286,14 @@ impl SalesApplication {
         // (equivalent to ranking all rows and keeping the first k
         // survivors, since the filter is independent of distance) so the
         // selection stays k-bounded and non-matching rows never pay a
-        // distance computation. On an F64 store the result is byte-identical
-        // to the pre-store `metric.distance` scan.
-        let pq = self.store.prepare(self.representations.row(query.index()));
-        let ranked = if filter.is_empty() {
-            self.store.top_k(&pq, None, k, Some(query.index()))
-        } else {
-            self.store
-                .top_k_filtered(&pq, k, Some(query.index()), |row| {
-                    filter.matches(&self.corpus, CompanyId(row as u32))
-                })
-        };
+        // distance computation. The result is byte-identical to the
+        // pre-store `metric.distance` scan.
+        let row = query.index();
+        let pq = self.store.prepare(self.representations.row(row));
+        let unfiltered = filter.is_empty();
+        let ranked = self.store.top_k(&pq, None, k, |r| {
+            r != row && (unfiltered || filter.matches(&self.corpus, CompanyId(r as u32)))
+        });
         Ok(ranked
             .into_iter()
             .map(|(row, distance)| SimilarCompany {
@@ -839,41 +811,42 @@ mod tests {
     }
 
     #[test]
-    fn f32_precision_app_matches_exact_ranking_here() {
-        let corpus = hlm_datagen::generate(&GeneratorConfig::with_size_and_seed(150, 21));
-        let reps = Arc::new(reps_for(&corpus));
-        let corpus = Arc::new(corpus);
-        let exact = SalesApplication::new(
-            Arc::clone(&corpus),
-            Arc::clone(&reps),
+    fn k_beyond_the_candidates_returns_them_all_without_reserving_k() {
+        // A k far past the corpus must neither abort on a k-sized
+        // reservation nor overflow `k + 1`: every entry point answers as at
+        // k = n − 1, the most candidates a query can have.
+        let app = app();
+        let n = app.corpus().len();
+        let filter = CompanyFilter::default();
+        let index = crate::index::ClusteredIndex::build(
+            Arc::new(app.representations().clone()),
+            8,
             DistanceMetric::Cosine,
+            1,
         )
         .unwrap();
-        let fast = SalesApplication::new_with_precision(
-            corpus,
-            reps,
-            DistanceMetric::Cosine,
-            StorePrecision::F32,
-        )
-        .unwrap();
-        assert_eq!(fast.store_precision(), StorePrecision::F32);
-        assert_eq!(exact.store_precision(), StorePrecision::F64);
-        // On well-separated LDA features the f32 ranking agrees; distances
-        // only to f32 rounding.
-        for q in [0u32, 7, 149] {
-            let e = exact
-                .find_similar(CompanyId(q), 5, &CompanyFilter::default())
-                .unwrap();
-            let f = fast
-                .find_similar(CompanyId(q), 5, &CompanyFilter::default())
-                .unwrap();
-            let e_ids: Vec<_> = e.iter().map(|s| s.id).collect();
-            let f_ids: Vec<_> = f.iter().map(|s| s.id).collect();
-            let overlap = e_ids.iter().filter(|id| f_ids.contains(id)).count();
-            assert!(overlap >= 4, "q={q}: {e_ids:?} vs {f_ids:?}");
-            for (a, b) in e.iter().zip(&f) {
-                assert!((a.distance - b.distance).abs() < 1e-4);
-            }
+        let query = CompanyId(3);
+        let batch: Vec<CompanyId> = (0..12).map(CompanyId).collect();
+        let whitespace_bits = |k: usize| -> Vec<(ProductId, u64, usize)> {
+            app.recommend_whitespace(query, k, &filter)
+                .unwrap()
+                .into_iter()
+                .map(|r| (r.product, r.score.to_bits(), r.owners_among_similar))
+                .collect()
+        };
+        let similar = app.find_similar(query, n - 1, &filter).unwrap();
+        assert_eq!(similar.len(), n - 1);
+        let similar_batch = app.find_similar_batch(&batch, n - 1, &filter).unwrap();
+        let whitespace = whitespace_bits(n - 1);
+        let probed = index.query_row(query.index(), n - 1, 2);
+        for k in [usize::MAX, 1 << 40] {
+            assert_eq!(app.find_similar(query, k, &filter).unwrap(), similar);
+            assert_eq!(
+                app.find_similar_batch(&batch, k, &filter).unwrap(),
+                similar_batch
+            );
+            assert_eq!(whitespace_bits(k), whitespace);
+            assert_eq!(index.query_row(query.index(), k, 2), probed);
         }
     }
 

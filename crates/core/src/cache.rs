@@ -17,8 +17,12 @@
 //!   time, so an application built *before* a retrain can never serve (or
 //!   poison) entries belonging to the model built *after* it, even when both
 //!   share one cache.
-//! - **Bounded.** At most `capacity` entries are held; the oldest entry is
-//!   evicted first (insertion order). Eviction only ever costs a recompute.
+//! - **Bounded by what it holds.** `capacity` counts the neighbours stored
+//!   across all answers (an empty answer counts as one), so a client asking
+//!   for large `k` cannot grow the memo past its budget. Oldest entries are
+//!   evicted first (insertion order) until the total fits, and an answer
+//!   longer than the whole budget is not stored. Eviction only ever costs a
+//!   recompute.
 //! - **Observable, never load-bearing.** `serve.cache_hit` /
 //!   `serve.cache_miss` counters record effectiveness; disabling the cache
 //!   changes latency, never any result.
@@ -84,6 +88,14 @@ struct Inner {
     generation: u64,
     map: HashMap<CacheKey, Vec<SimilarCompany>>,
     order: VecDeque<CacheKey>,
+    /// Sum of [`cost`] over the entries in `map`.
+    held: usize,
+}
+
+/// Budget units an answer takes: its neighbour count, at least one so
+/// empty answers are bounded too.
+fn cost(answer: &[SimilarCompany]) -> usize {
+    answer.len().max(1)
 }
 
 /// A bounded, generation-stamped memo of similar-company answers. Shareable
@@ -96,13 +108,15 @@ pub struct ServingCache {
 }
 
 impl Default for ServingCache {
+    /// 40,960 neighbours: 4096 answers at serve's default `k` of 10.
     fn default() -> Self {
-        ServingCache::new(4096)
+        ServingCache::new(40_960)
     }
 }
 
 impl ServingCache {
-    /// Creates a cache holding at most `capacity` answers.
+    /// Creates a cache holding at most `capacity` neighbours across all
+    /// answers.
     ///
     /// # Panics
     /// Panics if `capacity` is 0.
@@ -127,6 +141,7 @@ impl ServingCache {
         inner.generation += 1;
         inner.map.clear();
         inner.order.clear();
+        inner.held = 0;
     }
 
     /// Number of memoized answers currently held.
@@ -155,16 +170,26 @@ impl ServingCache {
         }
     }
 
-    /// Memoizes an answer, evicting the oldest entry beyond capacity.
+    /// Memoizes an answer, evicting the oldest entries until the held
+    /// neighbours fit the capacity. An answer longer than the whole
+    /// capacity is not stored.
     pub(crate) fn insert(&self, key: CacheKey, value: Vec<SimilarCompany>) {
+        let added = cost(&value);
+        if added > self.capacity {
+            return;
+        }
         let mut inner = self.lock();
-        if inner.map.insert(key.clone(), value).is_none() {
-            inner.order.push_back(key);
-            while inner.map.len() > self.capacity {
-                let Some(oldest) = inner.order.pop_front() else {
-                    break;
-                };
-                inner.map.remove(&oldest);
+        inner.held += added;
+        match inner.map.insert(key.clone(), value) {
+            Some(old) => inner.held -= cost(&old),
+            None => inner.order.push_back(key),
+        }
+        while inner.held > self.capacity {
+            let Some(oldest) = inner.order.pop_front() else {
+                break;
+            };
+            if let Some(evicted) = inner.map.remove(&oldest) {
+                inner.held -= cost(&evicted);
             }
         }
     }
@@ -237,6 +262,53 @@ mod tests {
         cache.insert(key(0, 2, 1), entry(4, 0.4));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&key(0, 2, 1)), Some(entry(4, 0.4)));
+    }
+
+    #[test]
+    fn capacity_counts_neighbours_across_answers() {
+        let answer = |n: u32| -> Vec<SimilarCompany> {
+            (0..n)
+                .map(|i| SimilarCompany {
+                    id: CompanyId(i),
+                    distance: f64::from(i),
+                })
+                .collect()
+        };
+        let held = |cache: &ServingCache| cache.lock().held;
+        let cache = ServingCache::new(10);
+        cache.insert(key(0, 0, 4), answer(4));
+        cache.insert(key(0, 1, 4), answer(4));
+        assert_eq!(held(&cache), 8);
+        // A third 4-neighbour answer does not fit beside both: the oldest
+        // goes, and the total stays within the budget.
+        cache.insert(key(0, 2, 4), answer(4));
+        assert_eq!(held(&cache), 8);
+        assert_eq!(cache.get(&key(0, 0, 4)), None, "oldest evicted");
+        assert_eq!(cache.get(&key(0, 1, 4)), Some(answer(4)));
+        assert_eq!(cache.get(&key(0, 2, 4)), Some(answer(4)));
+        // An overwrite moves the total by the change in length; growing row
+        // 2's answer to 6 leaves 10 held, still within the budget.
+        cache.insert(key(0, 2, 4), answer(6));
+        assert_eq!(held(&cache), 10);
+        assert_eq!(cache.len(), 2);
+        // Growing it to 7 overflows: the oldest (row 1) is evicted.
+        cache.insert(key(0, 2, 4), answer(7));
+        assert_eq!(held(&cache), 7);
+        assert_eq!(cache.get(&key(0, 1, 4)), None);
+        // An answer longer than the whole budget is not stored, and what
+        // is held stays.
+        cache.insert(key(0, 3, 11), answer(11));
+        assert_eq!(cache.get(&key(0, 3, 11)), None);
+        assert_eq!(held(&cache), 7);
+        assert_eq!(cache.get(&key(0, 2, 4)), Some(answer(7)));
+        // Empty answers count as one neighbour each.
+        for row in 10..20 {
+            cache.insert(key(0, row, 1), Vec::new());
+            assert!(held(&cache) <= 10);
+        }
+        assert_eq!(cache.len(), 10);
+        cache.invalidate();
+        assert_eq!(held(&cache), 0);
     }
 
     #[test]

@@ -3,21 +3,20 @@
 //!
 //! Section 2 of the paper names "the computational complexity of the
 //! similarity search problem due to the large number of companies" as a core
-//! challenge — with ~1M companies, the brute-force scan of
-//! [`crate::top_k_similar`] is the bottleneck of the deployed tool. This
-//! index applies the standard IVF recipe: k-means the representation rows
-//! into coarse cells and, at query time, scan only the `n_probe` cells whose
-//! centroids are closest to the query. With `n_probe == n_cells` results are
-//! exactly the brute-force ranking.
+//! challenge — with ~1M companies, the brute-force scan over every row is
+//! the bottleneck of the deployed tool. This index applies the standard IVF
+//! recipe: k-means the representation rows into coarse cells and, at query
+//! time, scan only the `n_probe` cells whose centroids are closest to the
+//! query. With `n_probe == n_cells` results are exactly the brute-force
+//! ranking.
 //!
 //! Since PR 10 the candidate scan runs on a cell-major [`RepStore`]
 //! snapshot (DESIGN.md §3.10): rows are physically reordered so a probed
-//! cell is one contiguous walk, per-row norms are cached, and an opt-in f32
-//! path halves the scan footprint. The exact (f64) path returns
-//! byte-identical rankings to the pre-store scan.
+//! cell is one contiguous walk, and per-row norms are cached. Rankings are
+//! byte-identical to the pre-store scan over the same cells.
 
 use crate::error::CoreError;
-use crate::repstore::{RepStore, StorePrecision};
+use crate::repstore::RepStore;
 use crate::similarity::DistanceMetric;
 use hlm_cluster::{kmeans, KmeansOptions};
 use hlm_linalg::Matrix;
@@ -35,7 +34,7 @@ pub struct ClusteredIndex {
 
 impl ClusteredIndex {
     /// Builds the index by k-means-partitioning the rows of `reps` into
-    /// `n_cells` coarse cells, scoring on the exact f64 path.
+    /// `n_cells` coarse cells.
     ///
     /// # Errors
     /// [`CoreError::InvalidCellCount`] if `reps` is empty or `n_cells` is 0
@@ -45,22 +44,6 @@ impl ClusteredIndex {
         n_cells: usize,
         metric: DistanceMetric,
         seed: u64,
-    ) -> Result<Self, CoreError> {
-        Self::build_with_precision(reps, n_cells, metric, seed, StorePrecision::F64)
-    }
-
-    /// [`ClusteredIndex::build`] with an explicit scoring precision for the
-    /// snapshot store. [`StorePrecision::F32`] trades bit-identical rankings
-    /// for a smaller, faster scan (gated by recall, not bit-identity).
-    ///
-    /// # Errors
-    /// [`CoreError::InvalidCellCount`] as for [`ClusteredIndex::build`].
-    pub fn build_with_precision(
-        reps: impl Into<Arc<Matrix>>,
-        n_cells: usize,
-        metric: DistanceMetric,
-        seed: u64,
-        precision: StorePrecision,
     ) -> Result<Self, CoreError> {
         let reps = reps.into();
         if reps.rows() == 0 || n_cells == 0 || n_cells > reps.rows() {
@@ -82,7 +65,7 @@ impl ClusteredIndex {
         for (row, &cell) in res.assignments.iter().enumerate() {
             cells[cell].push(row);
         }
-        let store = RepStore::cell_major(&reps, &cells, metric, precision);
+        let store = RepStore::cell_major(&reps, &cells, metric);
         Ok(ClusteredIndex {
             store,
             centroids: res.centroids,
@@ -132,7 +115,7 @@ impl ClusteredIndex {
         assert!(n_probe >= 1, "must probe at least one cell");
         let cells = self.probe_cells(vector, n_probe);
         let pq = self.store.prepare(vector);
-        self.store.top_k(&pq, Some(&cells), k, None)
+        self.store.top_k(&pq, Some(&cells), k, |_| true)
     }
 
     /// Top-`k` most similar rows to an indexed row (the row itself is
@@ -149,7 +132,7 @@ impl ClusteredIndex {
         // Excluding the query row *before* selection equals the pre-store
         // "select k+1, drop the row, truncate to k" dance: either way the
         // result is the best k candidates other than the row itself.
-        self.store.top_k(&pq, Some(&cells), k, Some(row))
+        self.store.top_k(&pq, Some(&cells), k, |r| r != row)
     }
 
     /// Recall@k of the pruned search against the exact scan, averaged over
@@ -163,12 +146,9 @@ impl ClusteredIndex {
     }
 
     /// Recall@k at several probe widths in one pass: the exact top-`k` set
-    /// is computed **once per query** (f64 scan over all cells) and reused
+    /// is computed **once per query** (a scan over all cells) and reused
     /// for every entry of `n_probes`, instead of rerunning brute force per
-    /// probe width as the pre-store diagnostic did. On an f32 store the
-    /// approximate side scores in f32 while the baseline stays exact f64,
-    /// so the result measures the combined IVF + precision loss — the
-    /// quantity the CI recall gate checks.
+    /// probe width as the pre-store diagnostic did.
     ///
     /// Returns one recall per probe width, NaN for each when `queries` is
     /// empty (see [`ClusteredIndex::recall_at_k`]).
@@ -181,7 +161,7 @@ impl ClusteredIndex {
         for &q in queries {
             let vector = self.store.row_by_original(q);
             let pq = self.store.prepare(vector);
-            let exact = self.store.top_k_exact_f64(&pq, None, k, Some(q));
+            let exact = self.store.top_k(&pq, None, k, |r| r != q);
             total += exact.len();
             for (pi, &n_probe) in n_probes.iter().enumerate() {
                 let approx = self.query_row(q, k, n_probe);
@@ -222,7 +202,8 @@ mod tests {
         let reps = clustered_reps();
         let index = ClusteredIndex::build(reps.clone(), 6, DistanceMetric::Euclidean, 1).unwrap();
         for q in [0usize, 31, 89] {
-            let exact = crate::similarity::top_k_similar(&reps, q, 10, DistanceMetric::Euclidean);
+            let exact =
+                crate::similarity::top_k_similar_scalar(&reps, q, 10, DistanceMetric::Euclidean);
             let approx = index.query_row(q, 10, index.n_cells());
             assert_eq!(
                 exact.iter().map(|&(r, _)| r).collect::<Vec<_>>(),
@@ -302,23 +283,6 @@ mod tests {
         let res = index.query(&[0.0, 5.0, 0.0, 0.0], 5, 1);
         assert_eq!(res.len(), 5);
         assert!(res.iter().all(|&(r, _)| (30..60).contains(&r)), "{res:?}");
-    }
-
-    #[test]
-    fn f32_store_index_keeps_high_recall() {
-        let reps = clustered_reps();
-        let index = ClusteredIndex::build_with_precision(
-            reps,
-            3,
-            DistanceMetric::Cosine,
-            7,
-            StorePrecision::F32,
-        )
-        .unwrap();
-        assert_eq!(index.store().precision(), StorePrecision::F32);
-        let queries: Vec<usize> = (0..90).step_by(5).collect();
-        let recall = index.recall_at_k(&queries, 5, index.n_cells());
-        assert!(recall >= 0.999, "f32 full-probe recall@5: {recall}");
     }
 
     #[test]

@@ -12,16 +12,17 @@
 //!   per history, so it has its own protocol). Every history-conditioned
 //!   family meets the evaluation harness's [`hlm_eval::RecommenderFactory`]
 //!   through `hlm_engine::ModelSpec::factory`;
-//! * [`similarity`] — top-k similar-company search over any representation,
-//!   with the popularity-bias diagnostic motivating learned features
-//!   (Section 3.1);
+//! * [`similarity`] — the distances and k-selection behind similar-company
+//!   search, the scalar reference scan, and the popularity-bias diagnostic
+//!   motivating learned features (Section 3.1);
 //! * [`app`] — the sales application: similar-company search with industry /
 //!   geography / size filters and whitespace product recommendations;
 //! * [`index`] — the clustered (IVF-style) approximate index the application
 //!   uses for sub-linear similarity search;
 //! * [`repstore`] — the cell-major scoring store and kernel layer behind the
-//!   serving read path: cached norms, dot-product cosine, an opt-in f32
-//!   path, and the blocked multi-query kernel (DESIGN.md §3.10);
+//!   serving read path: cached norms, dot-product cosine, one exact
+//!   single-query scan with a row predicate, and the blocked multi-query
+//!   kernel (DESIGN.md §3.10);
 //! * [`cache`] — the bounded, generation-stamped [`ServingCache`] memoizing
 //!   similar-company answers on the serving hot path, invalidated on
 //!   retrain;
@@ -82,8 +83,8 @@ pub use cache::ServingCache;
 pub use error::CoreError;
 pub use index::ClusteredIndex;
 pub use recommenders::{evaluate_bpmf, masked_lda_scores, BpmfEvaluation};
-pub use repstore::{PreparedQuery, RepStore, StorePrecision};
+pub use repstore::{PreparedQuery, RepStore};
 pub use similarity::{
-    bounded_top_k, neighbor_label_agreement, popularity_bias, top_k_similar, top_k_similar_scalar,
-    DistanceMetric, TopK,
+    bounded_top_k, neighbor_label_agreement, popularity_bias, top_k_similar_scalar, DistanceMetric,
+    TopK,
 };

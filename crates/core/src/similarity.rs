@@ -1,10 +1,14 @@
-//! Top-k similar-company search over a representation matrix (Equation 5)
-//! and the popularity-bias diagnostic of Section 3.1.
+//! Distances and k-selection for similar-company search (Equation 5), the
+//! scalar reference scan, and the nearest-neighbour diagnostics of
+//! Section 3.1. The scans that serve rankings live in
+//! [`crate::repstore::RepStore`].
 
+use crate::repstore::RepStore;
 use hlm_corpus::{CompanyId, Corpus};
-use hlm_linalg::vector::{cosine_distance, dot, euclidean_distance, norm};
+use hlm_linalg::vector::{cosine_distance, euclidean_distance};
 use hlm_linalg::Matrix;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Vector distance used for company comparison (Equation 5 allows any).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -67,11 +71,15 @@ pub struct TopK {
 }
 
 impl TopK {
-    /// An empty accumulator keeping at most `k` candidates.
-    pub fn new(k: usize) -> Self {
+    /// An empty accumulator keeping at most `k` of at most `candidates`
+    /// offered candidates. It reserves `min(k + 1, candidates)` slots, so a
+    /// `k` beyond what the scan can offer reserves no more than the
+    /// candidates themselves, and `k = usize::MAX` cannot overflow;
+    /// `candidates` only sizes the reservation.
+    pub fn new(k: usize, candidates: usize) -> Self {
         TopK {
             k,
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
+            heap: std::collections::BinaryHeap::with_capacity(k.saturating_add(1).min(candidates)),
         }
     }
 
@@ -114,7 +122,8 @@ impl TopK {
 /// `(distance, row)` order, via a bounded max-heap: `O(n log k)` and `O(k)`
 /// memory instead of sorting all `n` candidates. Exact — the result is
 /// identical (including tie-breaks) to sorting the full candidate list and
-/// truncating to `k`.
+/// truncating to `k`. The reservation is bounded by the iterator's
+/// `size_hint`, never by `k` alone.
 ///
 /// # Panics
 /// Panics if a distance is NaN.
@@ -122,67 +131,17 @@ pub fn bounded_top_k(
     candidates: impl Iterator<Item = (usize, f64)>,
     k: usize,
 ) -> Vec<(usize, f64)> {
-    let mut acc = TopK::new(k);
+    let (lower, upper) = candidates.size_hint();
+    let mut acc = TopK::new(k, upper.unwrap_or(lower));
     for (i, d) in candidates {
         acc.push(i, d);
     }
     acc.into_sorted()
 }
 
-/// The `k` rows of `representations` closest to row `query` (excluding the
-/// query itself), as `(row index, distance)` sorted by ascending distance
-/// with deterministic tie-breaking on the row index.
-///
-/// Under cosine the query's norm is hoisted out of the scan (one `dot` per
-/// candidate saved); the per-pair arithmetic is otherwise identical to
-/// [`DistanceMetric::distance`], so results — bits and tie-breaks — match
-/// [`top_k_similar_scalar`] exactly. Callers ranking *many* queries over
-/// one matrix should build a [`crate::repstore::RepStore`] instead, which
-/// also caches the per-row norms.
-///
-/// # Panics
-/// Panics if `query` is out of range.
-pub fn top_k_similar(
-    representations: &Matrix,
-    query: usize,
-    k: usize,
-    metric: DistanceMetric,
-) -> Vec<(usize, f64)> {
-    assert!(query < representations.rows(), "query row out of range");
-    let q = representations.row(query);
-    match metric {
-        DistanceMetric::Cosine => {
-            let nq = norm(q);
-            bounded_top_k(
-                (0..representations.rows())
-                    .filter(|&i| i != query)
-                    .map(|i| {
-                        let r = representations.row(i);
-                        let nr = norm(r);
-                        let d = if nq == 0.0 || nr == 0.0 {
-                            // Zero-vector convention: maximally distant (see
-                            // `cosine_distance` and DESIGN.md §3.10).
-                            1.0
-                        } else {
-                            1.0 - (dot(q, r) / (nq * nr)).clamp(-1.0, 1.0)
-                        };
-                        (i, d)
-                    }),
-                k,
-            )
-        }
-        DistanceMetric::Euclidean => bounded_top_k(
-            (0..representations.rows())
-                .filter(|&i| i != query)
-                .map(|i| (i, euclidean_distance(q, representations.row(i)))),
-            k,
-        ),
-    }
-}
-
 /// The pre-`RepStore` scalar reference scan: `metric.distance` per
-/// candidate, norms recomputed every pair. Kept verbatim as the baseline
-/// the byte-identity tests pin the kernel layer against, and as the
+/// candidate, norms recomputed every pair. Kept verbatim as the oracle
+/// the byte-identity tests pin [`RepStore`]'s scans against, and as the
 /// "scalar" contender in the query-path benchmarks.
 ///
 /// # Panics
@@ -201,6 +160,19 @@ pub fn top_k_similar_scalar(
             .map(|i| (i, metric.distance(q, representations.row(i)))),
         k,
     )
+}
+
+/// Row `i`'s nearest other row under `metric`, for every row, from one flat
+/// [`RepStore`] (norms cached once), ties broken on the lower row id.
+/// Needs at least two rows.
+fn nearest_other_rows(representations: &Matrix, metric: DistanceMetric) -> Vec<usize> {
+    let store = RepStore::flat(Arc::new(representations.clone()), metric);
+    (0..store.len())
+        .map(|i| {
+            let pq = store.prepare(representations.row(i));
+            store.top_k(&pq, None, 1, |r| r != i)[0].0
+        })
+        .collect()
 }
 
 /// Quantifies the Section-3.1 failure mode of naive representations: among
@@ -240,11 +212,8 @@ pub fn popularity_bias(
 
     let mut popular_shared = 0usize;
     let mut total_shared = 0usize;
-    for (row, &id) in ids.iter().enumerate() {
-        let nn = top_k_similar(representations, row, 1, metric);
-        let Some(&(nn_row, _)) = nn.first() else {
-            continue;
-        };
+    let nearest = nearest_other_rows(representations, metric);
+    for (&id, &nn_row) in ids.iter().zip(&nearest) {
         let a = corpus.company(id).product_set();
         let b = corpus.company(ids[nn_row]).product_set();
         let b_set: std::collections::HashSet<_> = b.into_iter().collect();
@@ -284,13 +253,11 @@ pub fn neighbor_label_agreement(
         "one label per row required"
     );
     assert!(labels.len() >= 2, "need at least two points");
-    let mut agree = 0usize;
-    for i in 0..representations.rows() {
-        let nn = top_k_similar(representations, i, 1, metric);
-        if labels[nn[0].0] == labels[i] {
-            agree += 1;
-        }
-    }
+    let agree = nearest_other_rows(representations, metric)
+        .into_iter()
+        .enumerate()
+        .filter(|&(i, nn)| labels[nn] == labels[i])
+        .count();
     agree as f64 / labels.len() as f64
 }
 
@@ -301,10 +268,18 @@ mod tests {
     use hlm_datagen::GeneratorConfig;
     use hlm_lda::{GibbsTrainer, LdaConfig};
 
+    /// Top-`k` neighbours of row `query` from a flat store over `m`, the
+    /// query itself excluded.
+    fn flat_top_k(m: &Matrix, query: usize, k: usize, metric: DistanceMetric) -> Vec<(usize, f64)> {
+        let store = RepStore::flat(Arc::new(m.clone()), metric);
+        let pq = store.prepare(m.row(query));
+        store.top_k(&pq, None, k, |r| r != query)
+    }
+
     #[test]
     fn top_k_orders_by_distance() {
         let m = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 0.0], &[5.0, 0.0], &[0.1, 0.0]]);
-        let res = top_k_similar(&m, 0, 2, DistanceMetric::Euclidean);
+        let res = flat_top_k(&m, 0, 2, DistanceMetric::Euclidean);
         assert_eq!(res[0].0, 3);
         assert_eq!(res[1].0, 1);
         assert!((res[0].1 - 0.1).abs() < 1e-12);
@@ -313,7 +288,7 @@ mod tests {
     #[test]
     fn query_excluded_and_k_clamped() {
         let m = Matrix::from_rows(&[&[0.0], &[1.0]]);
-        let res = top_k_similar(&m, 0, 10, DistanceMetric::Euclidean);
+        let res = flat_top_k(&m, 0, 10, DistanceMetric::Euclidean);
         assert_eq!(res.len(), 1);
         assert_eq!(res[0].0, 1);
     }
@@ -321,9 +296,9 @@ mod tests {
     #[test]
     fn cosine_ignores_magnitude() {
         let m = Matrix::from_rows(&[&[1.0, 1.0], &[10.0, 10.0], &[1.0, 0.0]]);
-        let res = top_k_similar(&m, 0, 1, DistanceMetric::Cosine);
+        let res = flat_top_k(&m, 0, 1, DistanceMetric::Cosine);
         assert_eq!(res[0].0, 1, "same direction wins under cosine");
-        let res_e = top_k_similar(&m, 0, 1, DistanceMetric::Euclidean);
+        let res_e = flat_top_k(&m, 0, 1, DistanceMetric::Euclidean);
         assert_eq!(res_e[0].0, 2, "closer point wins under euclidean");
     }
 
@@ -348,36 +323,10 @@ mod tests {
     }
 
     #[test]
-    fn hoisted_norm_scan_is_byte_identical_to_scalar_reference() {
-        // Includes a zero row (empty install base) and a duplicate row.
-        let mut state = 3u64;
-        let mut m = Matrix::from_fn(40, 5, |_, _| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        });
-        for j in 0..5 {
-            m.set(7, j, 0.0);
-            let v = m.get(0, j);
-            m.set(9, j, v);
-        }
-        for metric in [DistanceMetric::Cosine, DistanceMetric::Euclidean] {
-            for q in [0usize, 7, 9, 39] {
-                let fast = top_k_similar(&m, q, 12, metric);
-                let reference = top_k_similar_scalar(&m, q, 12, metric);
-                assert_eq!(fast.len(), reference.len());
-                for (f, r) in fast.iter().zip(&reference) {
-                    assert_eq!(f.0, r.0, "{metric:?} q={q}");
-                    assert_eq!(f.1.to_bits(), r.1.to_bits(), "{metric:?} q={q}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn deterministic_tie_breaking() {
         let row: &[f64] = &[1.0, 0.0];
         let m = Matrix::from_rows(&[row, row, row]);
-        let res = top_k_similar(&m, 2, 2, DistanceMetric::Euclidean);
+        let res = flat_top_k(&m, 2, 2, DistanceMetric::Euclidean);
         assert_eq!(res.iter().map(|r| r.0).collect::<Vec<_>>(), vec![0, 1]);
     }
 

@@ -33,7 +33,7 @@ use hlm_core::app::SalesApplication;
 use hlm_core::recommenders::masked_lda_scores;
 use hlm_core::similarity::DistanceMetric;
 use hlm_core::CoreError;
-pub use hlm_core::{RepStore, StorePrecision};
+pub use hlm_core::RepStore;
 use hlm_corpus::CorpusSource;
 use hlm_corpus::{CompanyId, Corpus, Month, TimeWindow};
 use hlm_eval::drift::DriftReport;
@@ -1416,29 +1416,10 @@ impl Engine {
         representations: impl Into<Arc<Matrix>>,
         metric: DistanceMetric,
     ) -> Result<SalesApplication, EngineError> {
-        self.sales_app_with_precision(representations, metric, hlm_core::StorePrecision::F64)
-    }
-
-    /// [`Engine::sales_app`] with an explicit scoring precision for the
-    /// serving read path: `F64` is the exact default; `F32` serves from the
-    /// reduced-precision store (faster scans, recall-gated rather than
-    /// bit-identical — DESIGN.md §3.10).
-    ///
-    /// # Errors
-    /// [`EngineError::Core`] on a row/company mismatch.
-    pub fn sales_app_with_precision(
-        &self,
-        representations: impl Into<Arc<Matrix>>,
-        metric: DistanceMetric,
-        precision: hlm_core::StorePrecision,
-    ) -> Result<SalesApplication, EngineError> {
-        Ok(SalesApplication::new_with_precision(
-            self.corpus_arc(),
-            representations,
-            metric,
-            precision,
-        )?
-        .with_cache(Arc::clone(&self.serving_cache)))
+        Ok(
+            SalesApplication::new(self.corpus_arc(), representations, metric)?
+                .with_cache(Arc::clone(&self.serving_cache)),
+        )
     }
 
     /// Market-drift check between two time windows (Section 6's monitoring

@@ -132,9 +132,7 @@ pub type BundleLoader = Box<dyn Fn() -> Result<ModelBundle, String> + Send + Syn
 
 /// Build a bundle from an in-memory LDA model. Invalidates the engine's
 /// serving cache first so the bundle's captured generation is fresh and no
-/// ranking memoized under the previous model can leak through. Serves from
-/// the exact f64 scoring store; see
-/// [`bundle_from_model_with_precision`] for the opt-in f32 read path.
+/// ranking memoized under the previous model can leak through.
 pub fn bundle_from_model(
     engine: &Engine,
     model: LdaModel,
@@ -142,35 +140,12 @@ pub fn bundle_from_model(
     metric: DistanceMetric,
     opts: ServeOptions,
 ) -> Result<ModelBundle, String> {
-    bundle_from_model_with_precision(
-        engine,
-        model,
-        checkpoint_iteration,
-        metric,
-        opts,
-        hlm_engine::StorePrecision::F64,
-    )
-}
-
-/// [`bundle_from_model`] with an explicit scoring precision for the
-/// similarity read path (`F32` = reduced-precision store, recall-gated —
-/// DESIGN.md §3.10). The batch workers inherit it transparently: they call
-/// the application's batched kernels, which score on whatever store the
-/// bundle was built with.
-pub fn bundle_from_model_with_precision(
-    engine: &Engine,
-    model: LdaModel,
-    checkpoint_iteration: u64,
-    metric: DistanceMetric,
-    opts: ServeOptions,
-    precision: hlm_engine::StorePrecision,
-) -> Result<ModelBundle, String> {
     let ids: Vec<CompanyId> = engine.corpus().ids().collect();
     let docs = hlm_core::representations::binary_docs(engine.corpus(), &ids);
     let reprs = hlm_core::representations::lda_representations(&model, &docs);
     engine.serving_cache().invalidate();
     let app = engine
-        .sales_app_with_precision(reprs, metric, precision)
+        .sales_app(reprs, metric)
         .map_err(|e| format!("sales app: {e}"))?;
     let resilient = engine.resilient_over(lda_trained(model), opts);
     let label = resilient.primary().label().to_string();

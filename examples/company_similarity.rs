@@ -7,10 +7,11 @@
 //! ```
 
 use hlm_core::representations as reps;
-use hlm_core::{neighbor_label_agreement, popularity_bias, top_k_similar, DistanceMetric};
+use hlm_core::{neighbor_label_agreement, popularity_bias, DistanceMetric, RepStore};
 use hlm_corpus::tfidf::TfIdf;
 use hlm_corpus::CompanyId;
 use hlm_examples::{describe, example_corpus, example_lda, header};
+use std::sync::Arc;
 
 fn main() {
     let corpus = example_corpus();
@@ -56,7 +57,9 @@ fn main() {
     header("Example neighbourhood (LDA space)");
     let query = CompanyId(7);
     println!("query: {}", describe(&corpus, query));
-    for (row, d) in top_k_similar(&lda_b, query.index(), 4, DistanceMetric::Cosine) {
+    let store = RepStore::flat(Arc::new(lda_b), DistanceMetric::Cosine);
+    let pq = store.prepare(store.row_by_original(query.index()));
+    for (row, d) in store.top_k(&pq, None, 4, |r| r != query.index()) {
         println!("  d={d:.4}  {}", describe(&corpus, CompanyId(row as u32)));
     }
 }
