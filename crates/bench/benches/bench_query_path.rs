@@ -19,8 +19,9 @@ const DIMS: usize = 16;
 const CENTERS: usize = 64;
 const BATCH: usize = 16;
 
-/// Clustered blobs — the representation shape IVF assumes; same generator
-/// family as the phase-6 harness.
+/// Clustered blobs standing in for company representations, which group
+/// around a few latent profiles; same generator family as the phase-6
+/// harness.
 fn blob_matrix(rows: usize, seed: u64) -> Matrix {
     let mut state = seed.max(1);
     let mut next = move || {
@@ -72,7 +73,7 @@ fn bench_query_path(c: &mut Criterion) {
                     let i = turn.get();
                     turn.set((i + 1) % BATCH);
                     let q = queries[i];
-                    std::hint::black_box(store.top_k(&pqs[i], None, k, |r| r != q))
+                    std::hint::black_box(store.top_k(&pqs[i], k, |r| r != q))
                 })
             });
             group.bench_function(&format!("blocked_f64_k{k}_batch{BATCH}"), |b| {

@@ -84,7 +84,7 @@ fn bench_similarity(c: &mut Criterion) {
         c.bench_function(name, |b| {
             b.iter(|| {
                 let pq = store.prepare(reps.row(17));
-                store.top_k(black_box(&pq), None, 10, |r| r != 17)
+                store.top_k(black_box(&pq), 10, |r| r != 17)
             })
         });
     }
@@ -131,24 +131,6 @@ fn bench_svd_gmm_cocluster(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_clustered_index(c: &mut Criterion) {
-    use hlm_core::ClusteredIndex;
-    let corpus = hlm_datagen::generate(&GeneratorConfig::with_size_and_seed(5000, 9));
-    let ids: Vec<_> = corpus.ids().collect();
-    let reps = corpus.binary_matrix_for(&ids);
-
-    let mut group = c.benchmark_group("clustered_index");
-    group.sample_size(20);
-    group.bench_function("build_64_cells_5000x38", |b| {
-        b.iter(|| ClusteredIndex::build(reps.clone(), 64, DistanceMetric::Cosine, 1))
-    });
-    group.finish();
-    let index = ClusteredIndex::build(reps, 64, DistanceMetric::Cosine, 1).expect("valid cells");
-    c.bench_function("ivf_query_4probes_5000x38", |b| {
-        b.iter(|| index.query_row(black_box(17), 10, 4))
-    });
-}
-
 criterion_group!(
     benches,
     bench_datagen,
@@ -157,7 +139,6 @@ criterion_group!(
     bench_tsne,
     bench_similarity,
     bench_linalg,
-    bench_svd_gmm_cocluster,
-    bench_clustered_index
+    bench_svd_gmm_cocluster
 );
 criterion_main!(benches);

@@ -31,10 +31,9 @@
 //!    serving read path over synthetic clustered blobs at n = 20k and
 //!    n = 200k companies: the pre-store scalar scan, the [`RepStore`]
 //!    single-query kernel and the blocked 16-query kernel, all pinned to
-//!    one hardware thread (no parallelism credit), plus IVF recall@10 at
-//!    n_probe ∈ {1, 4, all}. This phase writes its own record,
-//!    `BENCH_pr10.json`, which the CI perf job gates (blocked-f64
-//!    ≥ 1.5× scalar at n = 200k; full-probe recall@10 = 1.0).
+//!    one hardware thread (no parallelism credit). This phase writes its
+//!    own record, `BENCH_pr10.json`, which the CI perf job gates
+//!    (blocked-f64 ≥ 1.5× scalar at n = 200k).
 //!
 //! At `HLM_SCALE=xl` (one million companies) phases 1–3 and 5–6 are
 //! skipped — the whole point of that scale is that the corpus does not
@@ -58,7 +57,7 @@
 //! says so in its `caveat` field — read it before quoting any figure.
 
 use hlm_bench::ExpScale;
-use hlm_core::{top_k_similar_scalar, ClusteredIndex, CompanyFilter, DistanceMetric, RepStore};
+use hlm_core::{top_k_similar_scalar, CompanyFilter, DistanceMetric, RepStore};
 use hlm_corpus::CorpusSource;
 use hlm_datagen::GeneratorConfig;
 use hlm_engine::{effective_threads, set_threads, Engine, TrainPlan};
@@ -508,17 +507,11 @@ struct QueryKernelRun {
     p99_us: f64,
 }
 
-/// Phase 6 at one corpus size: the kernel shoot-out plus the IVF
-/// recall@10 sweep.
+/// Phase 6 at one corpus size: the kernel shoot-out.
 struct QuerySizeGroup {
     n: usize,
-    n_cells: usize,
     kernels: Vec<QueryKernelRun>,
     blocked_f64_speedup: f64,
-    recall_queries: usize,
-    /// Probe widths measured, last entry = `n_cells` (exact).
-    n_probes: Vec<usize>,
-    recall: Vec<f64>,
 }
 
 /// Everything phase 6 measures (query-path kernels; skipped at xl).
@@ -534,9 +527,9 @@ const QP_CENTERS: usize = 64;
 const QP_BATCH: usize = 16;
 const QP_K: usize = 10;
 
-/// Clustered Gaussian blobs — the representation shape IVF assumes. Same
-/// generator family as `benches/bench_query_path.rs` and
-/// `tests/query_path.rs`.
+/// Clustered Gaussian blobs standing in for company representations, which
+/// group around a few latent profiles. Same generator family as
+/// `benches/bench_query_path.rs` and `tests/query_path.rs`.
 fn blob_matrix(rows: usize, seed: u64) -> Matrix {
     let mut state = seed.max(1);
     let mut next = move || {
@@ -582,8 +575,7 @@ fn time_calls<F: FnMut(usize)>(n_queries: usize, rounds: usize, mut call: F) -> 
 /// Phase 6: the PR 10 serving read-path kernel shoot-out. Synthetic blob
 /// representations (the corpus plays no role in the kernels), scalar scan
 /// vs `RepStore` single-query vs blocked, strictly one thread — the same
-/// no-parallelism-credit rule the thread sweeps above follow — plus the
-/// IVF recall@10 diagnostic at n_probe ∈ {1, 4, all}.
+/// no-parallelism-credit rule the thread sweeps above follow.
 fn run_query_path(scale: &ExpScale) -> QueryPathReport {
     let sizes: &[usize] = if matches!(scale.name, "smoke" | "small") {
         &[5_000]
@@ -595,7 +587,7 @@ fn run_query_path(scale: &ExpScale) -> QueryPathReport {
     let metric = DistanceMetric::Cosine;
     let mut groups = Vec::new();
     for &n in sizes {
-        eprintln!("[hlm-bench] query path: n={n}, building stores and IVF indexes…");
+        eprintln!("[hlm-bench] query path: n={n}, building the store…");
         let reps = Arc::new(blob_matrix(n, scale.seed));
         let store = RepStore::flat(Arc::clone(&reps), metric);
         let query_rows: Vec<usize> = (0..N_QUERIES).map(|i| (i * 9_973) % n).collect();
@@ -604,17 +596,6 @@ fn run_query_path(scale: &ExpScale) -> QueryPathReport {
             .map(|&q| store.prepare(reps.row(q)))
             .collect();
         let excludes: Vec<Option<usize>> = query_rows.iter().map(|&q| Some(q)).collect();
-
-        // The index build (k-means) and recall diagnostic may use every
-        // core — both are deterministic at any thread count. Only the
-        // kernel timings below are pinned.
-        set_threads(0);
-        let n_cells = QP_CENTERS.min(n);
-        let index = ClusteredIndex::build(Arc::clone(&reps), n_cells, metric, scale.seed)
-            .expect("valid cell count");
-        let recall_rows: Vec<usize> = (0..n).step_by((n / 200).max(1)).collect();
-        let n_probes = vec![1usize, 4.min(n_cells), n_cells];
-        let recall = index.recall_at_k_many(&recall_rows, QP_K, &n_probes);
 
         // Kernel timings: one hardware thread, no parallelism credit.
         set_threads(1);
@@ -635,7 +616,7 @@ fn run_query_path(scale: &ExpScale) -> QueryPathReport {
         });
         let (qps, p50, p99) = time_calls(N_QUERIES, ROUNDS, |i| {
             let q = query_rows[i];
-            std::hint::black_box(store.top_k(&pqs[i], None, QP_K, |r| r != q));
+            std::hint::black_box(store.top_k(&pqs[i], QP_K, |r| r != q));
         });
         kernels.push(QueryKernelRun {
             name: "store_f64",
@@ -669,12 +650,8 @@ fn run_query_path(scale: &ExpScale) -> QueryPathReport {
         };
         groups.push(QuerySizeGroup {
             n,
-            n_cells,
             blocked_f64_speedup: json::finite_or(qps_of("blocked_f64") / qps_of("scalar_f64"), 0.0),
             kernels,
-            recall_queries: recall_rows.len(),
-            n_probes,
-            recall,
         });
     }
     QueryPathReport {
@@ -708,7 +685,7 @@ fn write_query_path_json(
     );
     let _ = writeln!(j, "  \"sizes\": [");
     for (gi, g) in qp.sizes.iter().enumerate() {
-        let _ = writeln!(j, "    {{\"n\": {}, \"n_cells\": {},", g.n, g.n_cells);
+        let _ = writeln!(j, "    {{\"n\": {},", g.n);
         let _ = writeln!(j, "     \"kernels\": [");
         for (i, r) in g.kernels.iter().enumerate() {
             let _ = writeln!(
@@ -726,22 +703,8 @@ fn write_query_path_json(
         let _ = writeln!(j, "     ],");
         let _ = writeln!(
             j,
-            "     \"blocked_f64_speedup_vs_scalar\": {:.4},",
-            g.blocked_f64_speedup
-        );
-        let _ = writeln!(j, "     \"recall_queries\": {},", g.recall_queries);
-        let _ = writeln!(j, "     \"recall_at_10\": [");
-        for (i, &p) in g.n_probes.iter().enumerate() {
-            let _ = writeln!(
-                j,
-                "       {{\"n_probe\": {p}, \"f64\": {:.6}}}{}",
-                json::finite_or(g.recall[i], 0.0),
-                if i + 1 < g.n_probes.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(
-            j,
-            "     ]}}{}",
+            "     \"blocked_f64_speedup_vs_scalar\": {:.4}}}{}",
+            g.blocked_f64_speedup,
             if gi + 1 < qp.sizes.len() { "," } else { "" }
         );
     }
@@ -895,15 +858,6 @@ fn main() {
                 );
             }
             println!("    blocked-f64 vs scalar {:.2}x", g.blocked_f64_speedup);
-            let fmt = |rs: &[f64]| -> String {
-                g.n_probes
-                    .iter()
-                    .zip(rs)
-                    .map(|(p, r)| format!("probe {p}: {r:.4}"))
-                    .collect::<Vec<_>>()
-                    .join("  ")
-            };
-            println!("    recall@10: {}", fmt(&g.recall));
         }
     }
     let s = &sharded;

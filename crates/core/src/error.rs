@@ -1,10 +1,9 @@
 //! Typed errors for the contribution layer.
 //!
-//! The serving surface ([`crate::app::SalesApplication`], the
-//! [`crate::index::ClusteredIndex`] and the representation builders) reports
-//! invalid input through [`CoreError`] instead of panicking, so a server
-//! built on top can turn bad requests into error responses rather than
-//! crashing a worker.
+//! The serving surface ([`crate::app::SalesApplication`] and the
+//! representation builders) reports invalid input through [`CoreError`]
+//! instead of panicking, so a server built on top can turn bad requests into
+//! error responses rather than crashing a worker.
 
 use std::fmt;
 
@@ -18,15 +17,6 @@ pub enum CoreError {
         /// Companies in the corpus.
         companies: usize,
     },
-    /// The IVF cell count is outside `1..=rows`.
-    InvalidCellCount {
-        /// Requested number of coarse cells.
-        n_cells: usize,
-        /// Indexed rows available.
-        rows: usize,
-    },
-    /// Zero cells would be probed per query.
-    InvalidProbeCount,
     /// A company id does not exist in the corpus.
     CompanyOutOfRange {
         /// The offending id.
@@ -70,14 +60,6 @@ impl fmt::Display for CoreError {
                 "representation matrix has {rows} rows but the corpus has {companies} \
                  companies (one row per company required)"
             ),
-            CoreError::InvalidCellCount { n_cells, rows } => write!(
-                f,
-                "cannot build an index with {n_cells} cells over {rows} rows \
-                 (need 1 <= n_cells <= rows)"
-            ),
-            CoreError::InvalidProbeCount => {
-                write!(f, "must probe at least one cell per query")
-            }
             CoreError::CompanyOutOfRange { id, len } => {
                 write!(
                     f,
@@ -123,7 +105,8 @@ mod tests {
 
     #[test]
     fn is_a_std_error() {
-        let e: Box<dyn std::error::Error> = Box::new(CoreError::InvalidProbeCount);
+        let e: Box<dyn std::error::Error> =
+            Box::new(CoreError::CompanyOutOfRange { id: 7, len: 3 });
         assert!(!e.to_string().is_empty());
     }
 }

@@ -17,10 +17,8 @@
 //!   motivating learned features (Section 3.1);
 //! * [`app`] — the sales application: similar-company search with industry /
 //!   geography / size filters and whitespace product recommendations;
-//! * [`index`] — the clustered (IVF-style) approximate index the application
-//!   uses for sub-linear similarity search;
-//! * [`repstore`] — the cell-major scoring store and kernel layer behind the
-//!   serving read path: cached norms, dot-product cosine, one exact
+//! * [`repstore`] — the flat scoring store and kernel layer behind every
+//!   similar-company ranking: cached norms, dot-product cosine, one exact
 //!   single-query scan with a row predicate, and the blocked multi-query
 //!   kernel (DESIGN.md §3.10);
 //! * [`cache`] — the bounded, generation-stamped [`ServingCache`] memoizing
@@ -72,7 +70,6 @@
 pub mod app;
 pub mod cache;
 pub mod error;
-pub mod index;
 pub mod recommenders;
 pub mod representations;
 pub mod repstore;
@@ -81,7 +78,6 @@ pub mod similarity;
 pub use app::{CompanyFilter, SalesApplication, WhitespaceRecommendation};
 pub use cache::ServingCache;
 pub use error::CoreError;
-pub use index::ClusteredIndex;
 pub use recommenders::{evaluate_bpmf, masked_lda_scores, BpmfEvaluation};
 pub use repstore::{PreparedQuery, RepStore};
 pub use similarity::{

@@ -170,7 +170,7 @@ fn nearest_other_rows(representations: &Matrix, metric: DistanceMetric) -> Vec<u
     (0..store.len())
         .map(|i| {
             let pq = store.prepare(representations.row(i));
-            store.top_k(&pq, None, 1, |r| r != i)[0].0
+            store.top_k(&pq, 1, |r| r != i)[0].0
         })
         .collect()
 }
@@ -273,7 +273,7 @@ mod tests {
     fn flat_top_k(m: &Matrix, query: usize, k: usize, metric: DistanceMetric) -> Vec<(usize, f64)> {
         let store = RepStore::flat(Arc::new(m.clone()), metric);
         let pq = store.prepare(m.row(query));
-        store.top_k(&pq, None, k, |r| r != query)
+        store.top_k(&pq, k, |r| r != query)
     }
 
     #[test]

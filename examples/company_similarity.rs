@@ -57,9 +57,10 @@ fn main() {
     header("Example neighbourhood (LDA space)");
     let query = CompanyId(7);
     println!("query: {}", describe(&corpus, query));
-    let store = RepStore::flat(Arc::new(lda_b), DistanceMetric::Cosine);
-    let pq = store.prepare(store.row_by_original(query.index()));
-    for (row, d) in store.top_k(&pq, None, 4, |r| r != query.index()) {
+    let lda_b = Arc::new(lda_b);
+    let store = RepStore::flat(Arc::clone(&lda_b), DistanceMetric::Cosine);
+    let pq = store.prepare(lda_b.row(query.index()));
+    for (row, d) in store.top_k(&pq, 4, |r| r != query.index()) {
         println!("  d={d:.4}  {}", describe(&corpus, CompanyId(row as u32)));
     }
 }
