@@ -14,8 +14,8 @@
 //! * [`dist`] — random distributions (normal, gamma, beta, Dirichlet,
 //!   categorical with alias tables, Wishart, multivariate normal) built
 //!   directly on any [`rand::Rng`].
-//! * [`vector`] — free functions over `&[f64]` slices: dot products (plus an
-//!   `f32` one), norms, Euclidean and cosine distances.
+//! * [`vector`] — free functions over `&[f64]` slices: dot products, norms,
+//!   Euclidean and cosine distances.
 //!
 //! # Example
 //!

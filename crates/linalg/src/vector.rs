@@ -1,7 +1,6 @@
-//! Free functions over `&[f64]` slices (and one `f32` dot product): inner
-//! products, norms and the distances used for company similarity (Equation 5
-//! of the paper allows any vector distance; the workspace uses Euclidean and
-//! cosine).
+//! Free functions over `&[f64]` slices: inner products, norms and the
+//! distances used for company similarity (Equation 5 of the paper allows any
+//! vector distance; the workspace uses Euclidean and cosine).
 
 /// Dot product of two equal-length slices.
 ///
@@ -35,49 +34,10 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     (s0 + s1) + (s2 + s3) + tail
 }
 
-/// Dot product over native `f32` slices with the same 4-lane unroll as
-/// [`dot`]. Callers opt in at runtime by materializing `f32` data (e.g.
-/// `hlm-core`'s `RepStore` f32 scoring path). The lane structure is fixed by
-/// the input length alone, so results are deterministic run-to-run and
-/// thread-count-independent.
-///
-/// # Panics
-/// Panics if the lengths differ.
-#[inline]
-pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "dot_f32 length mismatch: {} vs {}",
-        a.len(),
-        b.len()
-    );
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-        s0 += xa[0] * xb[0];
-        s1 += xa[1] * xb[1];
-        s2 += xa[2] * xb[2];
-        s3 += xa[3] * xb[3];
-    }
-    let mut tail = 0.0f32;
-    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += x * y;
-    }
-    (s0 + s1) + (s2 + s3) + tail
-}
-
 /// Euclidean (L2) norm.
 #[inline]
 pub fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
-}
-
-/// L1 norm (sum of absolute values).
-#[inline]
-pub fn norm_l1(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
 }
 
 /// In-place `a += alpha * b`.
@@ -154,15 +114,6 @@ pub fn normalize(a: &mut [f64]) {
     }
 }
 
-/// Normalizes `a` to sum to one in place; zero-sum vectors are left unchanged.
-#[inline]
-pub fn normalize_l1(a: &mut [f64]) {
-    let s: f64 = a.iter().sum();
-    if s != 0.0 {
-        scale(a, 1.0 / s);
-    }
-}
-
 /// Arithmetic mean, or 0 for an empty slice.
 #[inline]
 pub fn mean(a: &[f64]) -> f64 {
@@ -197,27 +148,6 @@ mod tests {
     fn dot_and_norm() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert_eq!(norm_l1(&[-1.0, 2.0]), 3.0);
-    }
-
-    #[test]
-    fn dot_f32_matches_f64_within_rounding() {
-        let a: Vec<f64> = (0..53).map(|i| (i as f64 * 0.37).sin()).collect();
-        let b: Vec<f64> = (0..53).map(|i| (i as f64 * 0.21).cos()).collect();
-        let a32: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-        let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-        let exact = dot(&a, &b);
-        let fast = dot_f32(&a32, &b32) as f64;
-        assert!((fast - exact).abs() < 1e-4 * exact.abs().max(1.0));
-        assert!((dot_f32(&a32, &a32) as f64 - dot(&a, &a)).abs() < 1e-3);
-    }
-
-    #[test]
-    fn dot_f32_is_deterministic_and_length_checked() {
-        let a = vec![1.0f32; 9];
-        let b = vec![2.0f32; 9];
-        assert_eq!(dot_f32(&a, &b).to_bits(), dot_f32(&a, &b).to_bits());
-        assert_eq!(dot_f32(&a, &b), 18.0);
     }
 
     #[test]
@@ -234,13 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn normalize_unit_and_l1() {
+    fn normalize_unit() {
         let mut v = vec![3.0, 4.0];
         normalize(&mut v);
         assert!((norm(&v) - 1.0).abs() < 1e-12);
-        let mut w = vec![2.0, 2.0];
-        normalize_l1(&mut w);
-        assert_eq!(w, vec![0.5, 0.5]);
         let mut z = vec![0.0, 0.0];
         normalize(&mut z);
         assert_eq!(z, vec![0.0, 0.0]);
