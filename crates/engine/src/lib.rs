@@ -2013,6 +2013,7 @@ mod tests {
         };
         vec![
             lda(|c| c.n_topics = 0),
+            lda(|c| c.n_topics = 70_000),
             lda(|c| c.vocab_size = 0),
             lda(|c| c.alpha = Some(0.0)),
             lda(|c| c.beta = 0.0),

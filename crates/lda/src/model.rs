@@ -141,6 +141,11 @@ impl LdaConfig {
     pub fn check(&self) -> Result<(), String> {
         let rules = [
             (self.n_topics >= 1, "need at least one topic"),
+            // Samplers store a token's topic as a `u16`.
+            (
+                self.n_topics <= usize::from(u16::MAX),
+                "at most 65535 topics",
+            ),
             (self.vocab_size >= 1, "need a vocabulary"),
             (self.effective_alpha() > 0.0, "alpha must be positive"),
             (self.beta > 0.0, "beta must be positive"),

@@ -9,7 +9,10 @@
 //!   are one shard whose arrays are built once and stay in RAM.
 //! * **Spilled** ([`ShardedGibbsTrainer`]): one shard of documents is in
 //!   memory at a time; between visits its state lives in a versioned,
-//!   checksummed spill file under the work directory.
+//!   checksummed spill file under the work directory. The fit reads each
+//!   shard from its source only when it starts or resumes, writing the
+//!   shard's flat tokens to a token record beside the spills; every visit
+//!   builds its token arrays from that record.
 //!
 //! The result is bit-identical at any shard and thread count. That rests
 //! on four invariants:
@@ -25,9 +28,12 @@
 //!    sweep-start snapshot; per-chunk count deltas are folded in global
 //!    chunk order — the same additions, on the same values, in the same
 //!    order at any layout (hlm-par's ordered-reduction contract).
-//! 4. **Exact state.** Spill records store the `f64` bits verbatim (a
-//!    doc-topic cell left out is `+0.0`), so no floating-point value is
-//!    ever re-derived.
+//! 4. **Exact state.** Spill and token records store the `f64` bits
+//!    verbatim (a doc-topic cell left out is `+0.0`). The one value
+//!    re-derived is a unit-weight shard's doc-topic rows, which its spill
+//!    record leaves out and load rebuilds from `tok_z`: a cell is a sum of
+//!    ±1.0 steps from `+0.0`, an exact integer, and `1.0 - 1.0` is `+0.0`,
+//!    so the rebuilt bits are the sampled ones.
 //!
 //! Checkpoints are per *shard step* (one shard of one sweep; with one
 //! resident shard, one sweep). Both kinds carry the same small global state
@@ -56,8 +62,9 @@ use std::path::{Path, PathBuf};
 /// Contract: shard spans partition `0..n_docs()` contiguously and in order,
 /// and every span except the last is a multiple of the Gibbs document chunk
 /// (64; [`hlm_corpus::shard::SHARD_ALIGN`] keeps on-disk stores aligned).
-/// `shard_docs(s)` must return the same documents every time it is called —
-/// training re-reads each shard once per pass.
+/// `shard_docs(s)` must return the same documents every time it is called:
+/// a Gibbs fit reads each shard once when it starts and once when it
+/// resumes, and online VB reads each shard once per epoch.
 pub trait DocShardSource {
     /// Total number of documents.
     fn n_docs(&self) -> usize;
@@ -277,7 +284,8 @@ impl GlobalState {
 
 /// Out-of-core collapsed Gibbs trainer. See the module docs for the
 /// bit-identity argument; `work_dir` holds the per-shard spill files and
-/// must survive (together with the checkpoint store) for kill/resume.
+/// token records, and its spill files must survive (together with the
+/// checkpoint store) for kill/resume.
 #[derive(Debug, Clone)]
 pub struct ShardedGibbsTrainer {
     cfg: LdaConfig,
@@ -335,17 +343,22 @@ impl ShardedGibbsTrainer {
 }
 
 /// Magic bytes opening every spill record.
-const SPILL_MAGIC: &[u8; 8] = b"HLMGSPL2";
+const SPILL_MAGIC: &[u8; 8] = b"HLMGSPL3";
 /// Spill record header: magic, shard, version, doc count, token count.
 const SPILL_HEADER: usize = 40;
 /// Bytes of one stored doc-topic cell: a `u16` topic and the `f64` bits.
 const SPILL_CELL: usize = 10;
-/// Magic bytes of the earlier spill layout (dense `n_dk`, byte-wise sum).
-const OLD_SPILL_MAGIC: &[u8; 8] = b"HLMGSPL1";
-/// Why a spill record in the earlier layout is refused.
-const OLD_SPILL_FORMAT: &str = "is in the old HLMGSPL1 layout; the layout changed to \
-    sparse doc-topic rows with a word-wise checksum (HLMGSPL2), and old records are \
-    rejected rather than decoded (restart the fit to replace it)";
+/// The earlier spill layouts, refused rather than decoded, with what each
+/// one stored that the current layout does not.
+const OLD_SPILL_LAYOUTS: [(&[u8; 8], &str); 2] = [
+    (b"HLMGSPL1", "dense doc-topic rows, byte-wise checksum"),
+    (b"HLMGSPL2", "doc-topic rows of unit-weight shards"),
+];
+/// Magic bytes opening every token record.
+const TOKEN_MAGIC: &[u8; 8] = b"HLMGTOK1";
+/// Token record header: magic, shard, doc count, token count, unit-weight
+/// flag.
+const TOKEN_HEADER: usize = 40;
 /// Magic bytes opening a resident (`lda-gibbs`) checkpoint payload:
 /// `RESIDENT_MAGIC`, the spill record's length (u64 LE), the record, then
 /// the global state as JSON.
@@ -362,6 +375,9 @@ const OLD_RESIDENT_FORMAT: &str = "lda-gibbs payload is in the old all-JSON form
 #[derive(Default)]
 struct Shard {
     k: usize,
+    /// Every token weighs exactly 1.0, so each doc-topic row is its
+    /// document's count of `tok_z` and the spill record leaves the rows out.
+    unit: bool,
     tok_doc: Vec<u32>,
     tok_word: Vec<u32>,
     tok_weight: Vec<f64>,
@@ -381,6 +397,7 @@ impl Shard {
         let n_tokens: usize = docs.clone().map(<[_]>::len).sum();
         let mut shard = Shard {
             k,
+            unit: true,
             tok_doc: Vec::with_capacity(n_tokens),
             tok_word: Vec::with_capacity(n_tokens),
             tok_weight: Vec::with_capacity(n_tokens),
@@ -391,6 +408,7 @@ impl Shard {
         for (d, doc) in docs.enumerate() {
             for &(w, weight) in doc {
                 check_token(w, weight, m);
+                shard.unit &= weight == 1.0;
                 shard.tok_doc.push(d as u32);
                 shard.tok_word.push(w as u32);
                 shard.tok_weight.push(weight);
@@ -398,6 +416,91 @@ impl Shard {
             shard.doc_start.push(shard.tok_doc.len());
         }
         shard
+    }
+
+    /// Builds the token arrays of shard `s`, `n_docs` documents, from its
+    /// token record (see [`token_record`]). The checksum, the header and
+    /// the record's length are checked before anything is allocated, so
+    /// every buffer is bounded by the bytes at hand.
+    fn from_tokens(
+        record: &[u8],
+        s: usize,
+        n_docs: usize,
+        k: usize,
+        m: usize,
+    ) -> Result<Self, ResilienceError> {
+        let what = format!("token record of shard {s}");
+        let corrupt = |why: &str| ResilienceError::corrupt(format!("{what} {why}"));
+        let (body, trailer) = record.split_at(record.len().saturating_sub(8));
+        if body.len() < TOKEN_HEADER || fnv1a_words(body).to_le_bytes() != trailer {
+            return Err(corrupt("is truncated or damaged"));
+        }
+        let field = |i: usize| {
+            let at = 8 + 8 * i;
+            u64::from_le_bytes(body[at..at + 8].try_into().expect("an 8-byte field"))
+        };
+        if !body.starts_with(TOKEN_MAGIC) || field(0) != s as u64 || field(1) != n_docs as u64 {
+            let reason = format!("{what} does not hold this shard's documents");
+            return Err(ResilienceError::Mismatch { reason });
+        }
+        let unit = match field(3) {
+            0 => false,
+            1 => true,
+            _ => return Err(corrupt("has a bad unit-weight flag")),
+        };
+        // Two bytes a word, plus eight of weight unless every weight is 1.0.
+        let per_token = if unit { 2 } else { 10 };
+        let rest = &body[TOKEN_HEADER..];
+        let n_tokens = usize::try_from(field(2)).ok().filter(|&n| {
+            let len = n
+                .checked_mul(per_token)
+                .and_then(|b| b.checked_add(n_docs * 4));
+            len == Some(rest.len())
+        });
+        let Some(n_tokens) = n_tokens else {
+            return Err(corrupt("does not match its header's length"));
+        };
+        let (ends, rest) = rest.split_at(n_docs * 4);
+        let (words, weights) = rest.split_at(n_tokens * 2);
+        let mut shard = Shard {
+            k,
+            unit,
+            tok_doc: Vec::with_capacity(n_tokens),
+            doc_start: Vec::with_capacity(n_docs + 1),
+            ..Shard::default()
+        };
+        shard.doc_start.push(0);
+        for (d, end) in ends.as_chunks().0.iter().enumerate() {
+            let end = u32::from_le_bytes(*end) as usize;
+            if end < shard.tok_doc.len() || end > n_tokens {
+                return Err(corrupt("has document ends out of order"));
+            }
+            shard.tok_doc.resize(end, d as u32);
+            shard.doc_start.push(end);
+        }
+        if shard.tok_doc.len() != n_tokens {
+            return Err(corrupt("has tokens after its last document"));
+        }
+        shard.tok_word = words
+            .as_chunks()
+            .0
+            .iter()
+            .map(|w| u32::from(u16::from_le_bytes(*w)))
+            .collect();
+        if shard.tok_word.iter().any(|&w| w as usize >= m) {
+            return Err(corrupt("has a word outside the vocabulary"));
+        }
+        shard.tok_weight = if unit {
+            vec![1.0; n_tokens]
+        } else {
+            let bits = weights.as_chunks().0.iter();
+            bits.map(|b| f64::from_bits(u64::from_le_bytes(*b)))
+                .collect()
+        };
+        if !shard.tok_weight.iter().all(|w| w.is_finite() && *w > 0.0) {
+            return Err(corrupt("has a weight that is not positive and finite"));
+        }
+        Ok(shard)
     }
 
     /// Draws the initial topics of `docs` from the run's one sequential
@@ -409,12 +512,11 @@ impl Shard {
         rng: &mut StdRng,
         st: &mut GlobalState,
     ) {
-        let (k, m) = (self.k, st.n_kw.cols());
+        let k = self.k;
         self.tok_z = Vec::with_capacity(docs.clone().map(<[_]>::len).sum());
         self.n_dk = vec![0.0; docs.len() * k];
         for (d, doc) in docs.enumerate() {
             for &(w, weight) in doc {
-                check_token(w, weight, m);
                 let z = rng.gen_range(0..k);
                 self.tok_z.push(z as u16);
                 self.n_dk[d * k + z] += weight;
@@ -426,22 +528,27 @@ impl Shard {
 
     /// Bytes of the state's spill record, for reserving its buffer.
     fn record_len(&self) -> usize {
+        let len = SPILL_HEADER + self.tok_z.len() * 2 + 8;
+        if self.unit {
+            return len;
+        }
         let cells = self.n_dk.iter().filter(|v| v.to_bits() != 0).count();
-        let rows = self.n_dk.len() / self.k;
-        SPILL_HEADER + self.tok_z.len() * 2 + rows * 2 + cells * SPILL_CELL + 8
+        len + self.n_dk.len() / self.k * 2 + cells * SPILL_CELL
     }
 
     /// Appends the state as a spill record: the header, raw `u16`
-    /// assignments, the sparse doc-topic rows, and a word-wise FNV-1a
-    /// trailer over the record. A row is its cell count (`u16`), then
-    /// `(u16 topic, f64 bits)` for every cell whose bits are not `+0.0`, in
-    /// ascending topic order — so `-0.0` and every residue keep their bits.
+    /// assignments, the sparse doc-topic rows unless the shard is
+    /// unit-weight, and a word-wise FNV-1a trailer over the record. A row is
+    /// its cell count (`u16`), then `(u16 topic, f64 bits)` for every cell
+    /// whose bits are not `+0.0`, in ascending topic order — so `-0.0` and
+    /// every residue keep their bits.
     fn encode_state(&self, out: &mut Vec<u8>, shard: usize, version: u64) {
         let start = out.len();
         let docs = self.n_dk.len() / self.k;
         out.extend(spill_header(shard, version, docs, self.tok_z.len()));
         out.extend(self.tok_z.iter().flat_map(|z| z.to_le_bytes()));
-        for row in self.n_dk.chunks_exact(self.k) {
+        let rows = if self.unit { &[][..] } else { &self.n_dk[..] };
+        for row in rows.chunks_exact(self.k) {
             let count_at = out.len();
             out.extend_from_slice(&[0; 2]);
             let mut count = 0u16;
@@ -467,8 +574,17 @@ impl Shard {
     ) -> Result<(), ResilienceError> {
         let what = format!("spill of shard {shard} v{version}");
         let corrupt = |why: &str| Err(ResilienceError::corrupt(format!("{what} {why}")));
-        if record.starts_with(OLD_SPILL_MAGIC) {
-            let reason = format!("{what} {OLD_SPILL_FORMAT}");
+        let old = OLD_SPILL_LAYOUTS
+            .iter()
+            .find(|(magic, _)| record.starts_with(*magic));
+        if let Some((magic, stored)) = old {
+            let magic = String::from_utf8_lossy(*magic);
+            let reason = format!(
+                "{what} is in the old {magic} layout ({stored}); the layout changed to \
+                 HLMGSPL3, which rebuilds a unit-weight shard's doc-topic rows from its \
+                 assignments, and old records are rejected rather than decoded (restart \
+                 the fit to replace it)"
+            );
             return Err(ResilienceError::Mismatch { reason });
         }
         let (body, trailer) = record.split_at(record.len().saturating_sub(8));
@@ -493,6 +609,17 @@ impl Shard {
             return corrupt("has a topic out of range");
         }
         self.n_dk = vec![0.0; n_docs * k];
+        if self.unit {
+            if !rows.is_empty() {
+                return corrupt("has bytes after its topic assignments");
+            }
+            for (row, span) in self.n_dk.chunks_exact_mut(k).zip(self.doc_start.windows(2)) {
+                for &z in &self.tok_z[span[0]..span[1]] {
+                    row[usize::from(z)] += 1.0;
+                }
+            }
+            return Ok(());
+        }
         for row in self.n_dk.chunks_exact_mut(k) {
             let Some((count, rest)) = rows.split_first_chunk::<2>() else {
                 return corrupt("is cut short");
@@ -544,6 +671,46 @@ fn spill_header(shard: usize, version: u64, docs: usize, tokens: usize) -> Vec<u
     SPILL_MAGIC.iter().copied().chain(fields).collect()
 }
 
+/// Shard `s`'s token record, and whether every weight in it is 1.0: the
+/// header (magic, then shard, doc count, token count and the unit-weight
+/// flag, `u64` LE each), each document's end offset (`u32` LE), each
+/// token's word (`u16` LE), each token's weight bits (`u64` LE) only when
+/// some weight is not 1.0, and a word-wise FNV-1a trailer.
+///
+/// # Panics
+/// Panics on a token [`check_token`] rejects, a word past `u16`, or more
+/// than `u32::MAX` tokens.
+fn token_record(s: usize, batch: &DocBatch, m: usize) -> (Vec<u8>, bool) {
+    let tokens = || batch.docs().flatten();
+    let n_tokens = tokens().count();
+    assert!(
+        u32::try_from(n_tokens).is_ok(),
+        "shard {s} holds over u32::MAX tokens"
+    );
+    let unit = tokens().all(|&(_, weight)| weight == 1.0);
+    let per_token = if unit { 2 } else { 10 };
+    let mut out = Vec::with_capacity(TOKEN_HEADER + batch.len() * 4 + n_tokens * per_token + 8);
+    out.extend_from_slice(TOKEN_MAGIC);
+    let fields = [s, batch.len(), n_tokens, usize::from(unit)];
+    out.extend(fields.iter().flat_map(|&f| (f as u64).to_le_bytes()));
+    let mut end = 0;
+    for doc in batch.docs() {
+        end += doc.len();
+        out.extend_from_slice(&(end as u32).to_le_bytes());
+    }
+    for &(w, weight) in tokens() {
+        check_token(w, weight, m);
+        let w = u16::try_from(w).expect("a spilled fit's words fit in u16");
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    if !unit {
+        out.extend(tokens().flat_map(|&(_, weight)| weight.to_bits().to_le_bytes()));
+    }
+    let sum = fnv1a_words(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    (out, unit)
+}
+
 /// Rejects a token the sampler cannot hold.
 ///
 /// # Panics
@@ -564,24 +731,29 @@ enum Home<'a> {
     Resident(Shard, &'a [WeightedDoc]),
     /// [`ShardedGibbsTrainer`]: one shard in memory at a time (the one
     /// being visited), kept in versioned spill files under the work
-    /// directory between visits.
+    /// directory between visits; its token arrays are rebuilt from the
+    /// shard's token record at every visit.
     Spilled(&'a Path, Option<Shard>),
 }
 
 impl Home<'_> {
-    /// The shard to sample at shard `s` of `sweep`.
-    fn visit<S: DocShardSource + ?Sized>(
+    /// The shard to sample at shard `s` of `sweep`, which holds `n_docs`
+    /// documents.
+    fn visit(
         &mut self,
-        source: &S,
         s: usize,
         sweep: u64,
+        n_docs: usize,
         k: usize,
         m: usize,
     ) -> Result<&mut Shard, ResilienceError> {
         match self {
             Home::Resident(shard, _) => Ok(shard),
             Home::Spilled(dir, visiting) => {
-                let mut shard = Shard::new(source.shard_docs(s)?.docs(), k, m);
+                let _span = hlm_obs::global().span("lda.visit.load");
+                let tokens = std::fs::read(token_path(dir, s))
+                    .map_err(|e| ResilienceError::io("read token record", e))?;
+                let mut shard = Shard::from_tokens(&tokens, s, n_docs, k, m)?;
                 let record = std::fs::read(spill_path(dir, s, sweep))
                     .map_err(|e| ResilienceError::io("read spill", e))?;
                 shard.load_state(&record, s, sweep)?;
@@ -599,6 +771,7 @@ impl Home<'_> {
         let Some(mut shard) = visiting.take() else {
             return Ok(());
         };
+        let _span = hlm_obs::global().span("lda.visit.spill");
         // Only the state is written back: freeing the sampling buffers
         // first keeps them from peaking together with the write buffer.
         (shard.tok_doc, shard.tok_word) = (Vec::new(), Vec::new());
@@ -692,8 +865,8 @@ fn split_resident(payload: &[u8]) -> Option<(&[u8], &[u8])> {
 }
 
 /// The collapsed-Gibbs sweep loop behind both trainers. `source` gives the
-/// shard layout (and a spilled home's documents); `home` says where shard
-/// state lives between visits.
+/// shard layout (and a spilled home's documents, read once when the fit
+/// starts or resumes); `home` says where shard state lives between visits.
 fn drive<S: DocShardSource + ?Sized>(
     cfg: &LdaConfig,
     source: &S,
@@ -706,9 +879,15 @@ fn drive<S: DocShardSource + ?Sized>(
     let kind = cfg.sampler.resolve(k);
     let (n_docs, n_shards) = (source.n_docs(), source.n_shards());
     validate_spans(source);
-    // Topics, and a spill row's cell count, are stored as `u16`.
+    // Topics, and a spill row's cell count, are stored as `u16`; so are a
+    // token record's words.
     assert!(k <= usize::from(u16::MAX), "at most {} topics", u16::MAX);
     if let Home::Spilled(dir, _) = &home {
+        assert!(
+            m <= 1 << 16,
+            "a spilled fit holds at most {} words",
+            1 << 16
+        );
         std::fs::create_dir_all(dir).map_err(|e| ResilienceError::io("create work dir", e))?;
     }
 
@@ -745,6 +924,12 @@ fn drive<S: DocShardSource + ?Sized>(
                             });
                         }
                     }
+                    // The token records are rebuilt from the source, so a
+                    // resumed fit reads the corpus it is given, and a
+                    // damaged shard stops it here.
+                    for s in 0..n_shards {
+                        write_tokens(dir, s, &source.shard_docs(s)?, m)?;
+                    }
                 }
             }
             st
@@ -759,10 +944,16 @@ fn drive<S: DocShardSource + ?Sized>(
                     shard.draw_topics(doc_slices(docs), &mut rng, &mut st);
                 }
                 Home::Spilled(dir, _) => {
-                    clear_spills(dir)?;
+                    clear_work_dir(dir)?;
                     for s in 0..n_shards {
-                        let mut shard = Shard::new(std::iter::empty(), k, m);
-                        shard.draw_topics(source.shard_docs(s)?.docs(), &mut rng, &mut st);
+                        let batch = source.shard_docs(s)?;
+                        let unit = write_tokens(dir, s, &batch, m)?;
+                        let mut shard = Shard {
+                            k,
+                            unit,
+                            ..Shard::default()
+                        };
+                        shard.draw_topics(batch.docs(), &mut rng, &mut st);
                         write_spill(dir, s, 0, &shard)?;
                     }
                 }
@@ -817,7 +1008,8 @@ fn drive<S: DocShardSource + ?Sized>(
         // are mutated in place — disjoint between chunks) on an RNG stream
         // keyed by (seed, sweep, global chunk); chunk_base lifts the
         // shard-local chunk ids to global ones.
-        let shard = home.visit(source, s, sweep, k, m)?;
+        let (lo, hi) = source.shard_span(s);
+        let shard = home.visit(s, sweep, hi - lo, k, m)?;
         let ctx = SweepCtx {
             tok_doc: &shard.tok_doc,
             tok_word: &shard.tok_word,
@@ -831,10 +1023,11 @@ fn drive<S: DocShardSource + ?Sized>(
             beta_sum,
             seed: cfg.seed,
             sweep,
-            chunk_base: source.shard_span(s).0 / DOC_CHUNK,
+            chunk_base: lo / DOC_CHUNK,
             kind,
             alias: alias_tables.as_ref(),
         };
+        let sample_span = rec.span("lda.visit.sample");
         let deltas = hlm_par::chunk_count(shard.doc_start.len() - 1, DOC_CHUNK) * stride;
         // The shard's delta arena, sized once per shard in memory; every
         // step overwrites the cells its merge reads.
@@ -859,6 +1052,8 @@ fn drive<S: DocShardSource + ?Sized>(
             sweep_mh_accepted += view.mh_accepted;
         }
         drop(views);
+        drop(sample_span);
+        let merge_span = rec.span("lda.visit.merge");
         // Ordered merge in global chunk order. A multi-shard sweep folds
         // into the accumulator, since later shards still sample against
         // the snapshot; a one-shard sweep folds straight into the snapshot.
@@ -884,6 +1079,7 @@ fn drive<S: DocShardSource + ?Sized>(
                 &mut st.minka_den,
             );
         }
+        drop(merge_span);
         home.leave(s, sweep)?;
 
         if s == n_shards - 1 {
@@ -960,14 +1156,20 @@ fn spill_path(dir: &Path, shard: usize, version: u64) -> PathBuf {
     dir.join(format!("gibbs_shard_{shard:05}_v{version}.bin"))
 }
 
-/// Removes every spill file a trainer could have written under `dir`.
-fn clear_spills(dir: &Path) -> Result<(), ResilienceError> {
+fn token_path(dir: &Path, shard: usize) -> PathBuf {
+    dir.join(format!("gibbs_tokens_{shard:05}.bin"))
+}
+
+/// Removes every spill file and token record a trainer could have written
+/// under `dir`.
+fn clear_work_dir(dir: &Path) -> Result<(), ResilienceError> {
     let entries = std::fs::read_dir(dir).map_err(|e| ResilienceError::io("read work dir", e))?;
     for entry in entries.flatten() {
         let name = entry.file_name();
         let name = name.to_string_lossy();
+        let ours = name.starts_with("gibbs_shard_") || name.starts_with("gibbs_tokens_");
         // `.tmp` files are writes a kill cut off before their rename.
-        if name.starts_with("gibbs_shard_") && (name.ends_with(".bin") || name.ends_with(".tmp")) {
+        if ours && (name.ends_with(".bin") || name.ends_with(".tmp")) {
             std::fs::remove_file(entry.path())
                 .map_err(|e| ResilienceError::io("remove stale spill", e))?;
         }
@@ -975,14 +1177,27 @@ fn clear_spills(dir: &Path) -> Result<(), ResilienceError> {
     Ok(())
 }
 
-/// Writes a shard's spill record atomically (temp file + rename).
+/// Writes `bytes` to `path` atomically (temp file + rename); `what` names
+/// the file in an error.
+fn write_atomic(path: &Path, bytes: &[u8], what: &str) -> Result<(), ResilienceError> {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, bytes).map_err(|e| ResilienceError::io(&format!("write {what}"), e))?;
+    std::fs::rename(&tmp, path).map_err(|e| ResilienceError::io(&format!("commit {what}"), e))
+}
+
+/// Writes a shard's spill record.
 fn write_spill(dir: &Path, s: usize, version: u64, shard: &Shard) -> Result<(), ResilienceError> {
     let mut bytes = Vec::with_capacity(shard.record_len());
     shard.encode_state(&mut bytes, s, version);
-    let path = spill_path(dir, s, version);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &bytes).map_err(|e| ResilienceError::io("write spill", e))?;
-    std::fs::rename(&tmp, &path).map_err(|e| ResilienceError::io("commit spill", e))
+    write_atomic(&spill_path(dir, s, version), &bytes, "spill")
+}
+
+/// Writes shard `s`'s token record from its documents and returns whether
+/// every weight is 1.0.
+fn write_tokens(dir: &Path, s: usize, batch: &DocBatch, m: usize) -> Result<bool, ResilienceError> {
+    let (bytes, unit) = token_record(s, batch, m);
+    write_atomic(&token_path(dir, s), &bytes, "token record")?;
+    Ok(unit)
 }
 
 /// The spill version every shard must hold when `step` shard-steps are done:
@@ -1186,9 +1401,17 @@ mod tests {
         let trainer = ShardedGibbsTrainer::new(cfg(2, 9), &dir);
         let _ = trainer.fit(&MemDocShards::new(&docs, 2));
         // Without a checkpoint sink nothing pins old versions, so only the
-        // newest spill per shard survives — not one file per sweep.
-        let files = std::fs::read_dir(&dir).unwrap().count();
-        assert!(files <= 2, "spill files must stay bounded, found {files}");
+        // newest spill per shard survives — not one file per sweep — beside
+        // the one token record per shard.
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
+        let spills = count("gibbs_shard_");
+        assert!(spills <= 2, "spill files must stay bounded, found {spills}");
+        assert_eq!(count("gibbs_tokens_"), 2, "one token record per shard");
+        assert_eq!(names.len(), spills + 2, "{names:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1313,6 +1536,168 @@ mod tests {
         };
         assert!(reason.contains("HLMGSPL1"), "{reason}");
         assert!(reason.contains("layout changed"), "{reason}");
+    }
+
+    #[test]
+    fn previous_layout_spill_is_a_mismatch_naming_the_change() {
+        // An HLMGSPL2 record: the same header, assignments, rows and
+        // checksum as today's fractional-weight record, under the old magic.
+        let (docs, shard) = codec_shard();
+        let mut record = Vec::new();
+        shard.encode_state(&mut record, 0, 1);
+        record[..8].copy_from_slice(b"HLMGSPL2");
+        let len = record.len() - 8;
+        let sum = fnv1a_words(&record[..len]);
+        record[len..].copy_from_slice(&sum.to_le_bytes());
+        let err = Shard::new(doc_slices(&docs), 4, 6)
+            .load_state(&record, 0, 1)
+            .unwrap_err();
+        let ResilienceError::Mismatch { reason } = err else {
+            panic!("expected a mismatch, got {err:?}");
+        };
+        assert!(reason.contains("HLMGSPL2"), "{reason}");
+        assert!(reason.contains("layout changed to HLMGSPL3"), "{reason}");
+    }
+
+    /// Unit-weight documents and a state whose doc-topic cells went
+    /// 0 → 1 → 0 and 0 → 1 → 2 the way sampling moves them: a token leaves
+    /// its topic (`-= 1.0`) and joins another (`+= 1.0`).
+    fn unit_shard() -> (Vec<WeightedDoc>, Shard) {
+        let docs = unit_weights(&[vec![0, 1, 2], vec![3], vec![], vec![4, 5, 0, 1]]);
+        let mut shard = Shard::new(doc_slices(&docs), 4, 6);
+        assert!(shard.unit);
+        shard.tok_z = vec![0, 1, 3, 2, 0, 1, 2, 3];
+        shard.n_dk = vec![0.0; 4 * 4];
+        for (d, span) in shard.doc_start.windows(2).enumerate() {
+            for &z in &shard.tok_z[span[0]..span[1]] {
+                shard.n_dk[d * 4 + usize::from(z)] += 1.0;
+            }
+        }
+        // Token 1 of document 0 moves from topic 1 to topic 0; token 7 of
+        // document 3 moves from topic 3 to topic 2.
+        for (token, row, from, to) in [(1, 0, 1, 0), (7, 3, 3, 2)] {
+            shard.n_dk[row * 4 + from] -= 1.0;
+            shard.n_dk[row * 4 + to] += 1.0;
+            shard.tok_z[token] = to as u16;
+        }
+        (docs, shard)
+    }
+
+    #[test]
+    fn unit_weight_record_rebuilds_doc_topic_rows_bit_for_bit() {
+        let (docs, shard) = unit_shard();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The cells the moves emptied hold +0.0, the bits of a cell never
+        // touched.
+        assert_eq!(bits(&[shard.n_dk[1], shard.n_dk[3 * 4 + 3]]), [0, 0]);
+        let mut record = Vec::new();
+        shard.encode_state(&mut record, 2, 9);
+        assert_eq!(record.len(), shard.record_len());
+        assert_eq!(record.len(), SPILL_HEADER + 8 * 2 + 8, "rows are left out");
+        let mut loaded = Shard::new(doc_slices(&docs), 4, 6);
+        loaded.load_state(&record, 2, 9).unwrap();
+        assert_eq!(loaded.tok_z, shard.tok_z);
+        assert_eq!(bits(&loaded.n_dk), bits(&shard.n_dk));
+        // A unit-weight record carries no rows, so a byte after its
+        // assignments is damage.
+        let len = record.len() - 8;
+        record.truncate(len);
+        record.push(0);
+        let sum = fnv1a_words(&record);
+        record.extend_from_slice(&sum.to_le_bytes());
+        let err = loaded.load_state(&record, 2, 9).unwrap_err();
+        assert!(matches!(err, ResilienceError::Corrupt { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn token_record_rebuilds_the_token_arrays() {
+        for docs in [unit_shard().0, codec_shard().0] {
+            let batch = DocBatch::from_docs(&docs);
+            let (record, unit) = token_record(3, &batch, 6);
+            let want = Shard::new(doc_slices(&docs), 4, 6);
+            assert_eq!(unit, want.unit);
+            let got = Shard::from_tokens(&record, 3, docs.len(), 4, 6).unwrap();
+            assert_eq!(got.unit, want.unit);
+            assert_eq!(got.doc_start, want.doc_start);
+            assert_eq!(got.tok_doc, want.tok_doc);
+            assert_eq!(got.tok_word, want.tok_word);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.tok_weight), bits(&want.tok_weight));
+            // Another shard's record, or one for another doc count, is not
+            // this shard's.
+            for (s, n_docs) in [(2, docs.len()), (3, docs.len() + 1)] {
+                let err = Shard::from_tokens(&record, s, n_docs, 4, 6).err();
+                assert!(
+                    matches!(err, Some(ResilienceError::Mismatch { .. })),
+                    "{err:?}"
+                );
+            }
+        }
+    }
+
+    /// A unit-weight token record of `codec_shard`'s four documents with
+    /// its header's token count, document ends and words replaced, and the
+    /// checksum recomputed, so only the parser can object.
+    fn sealed_tokens(n_tokens: u64, ends: &[u32], words: &[u16]) -> Vec<u8> {
+        let mut record = TOKEN_MAGIC.to_vec();
+        record.extend(
+            [0, 4, n_tokens, 1]
+                .iter()
+                .flat_map(|f: &u64| f.to_le_bytes()),
+        );
+        record.extend(ends.iter().flat_map(|e| e.to_le_bytes()));
+        record.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+        let sum = fnv1a_words(&record);
+        record.extend_from_slice(&sum.to_le_bytes());
+        record
+    }
+
+    #[test]
+    fn damaged_token_records_are_corrupt() {
+        let parse = |record: Vec<u8>| Shard::from_tokens(&record, 0, 4, 4, 6).map(|_| ());
+        parse(sealed_tokens(3, &[1, 1, 2, 3], &[0, 5, 2])).unwrap();
+        let cases = [
+            (
+                "count past the bytes",
+                sealed_tokens(1 << 40, &[1, 1, 2, 3], &[0, 5, 2]),
+            ),
+            (
+                "count below the bytes",
+                sealed_tokens(2, &[1, 1, 2, 3], &[0, 5, 2]),
+            ),
+            (
+                "ends descending",
+                sealed_tokens(3, &[2, 1, 2, 3], &[0, 5, 2]),
+            ),
+            (
+                "end past the tokens",
+                sealed_tokens(3, &[1, 1, 2, 4], &[0, 5, 2]),
+            ),
+            (
+                "tokens after the last end",
+                sealed_tokens(3, &[1, 1, 2, 2], &[0, 5, 2]),
+            ),
+            ("word = M", sealed_tokens(3, &[1, 1, 2, 3], &[0, 6, 2])),
+        ];
+        for (what, record) in cases {
+            let err = parse(record).unwrap_err();
+            assert!(
+                matches!(err, ResilienceError::Corrupt { .. }),
+                "{what}: {err:?}"
+            );
+        }
+        // A fractional-weight record whose weights are not all positive.
+        let mut record = token_record(0, &DocBatch::from_docs(&[vec![(0, 0.5)]]), 6).0;
+        let at = TOKEN_HEADER + 4 + 2;
+        record[at..at + 8].copy_from_slice(&(-0.5f64).to_bits().to_le_bytes());
+        let len = record.len() - 8;
+        let sum = fnv1a_words(&record[..len]);
+        record[len..].copy_from_slice(&sum.to_le_bytes());
+        let err = Shard::from_tokens(&record, 0, 1, 4, 6).err();
+        assert!(
+            matches!(err, Some(ResilienceError::Corrupt { .. })),
+            "{err:?}"
+        );
     }
 
     proptest! {

@@ -441,19 +441,36 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Span count and summed duration (milliseconds) of *root* spans (paths
-    /// without `/`) — children are already contained in their parents, so
-    /// the root sum is total instrumented wall-clock without double
-    /// counting.
+    /// Span count and the wall-clock milliseconds covered by *root* spans
+    /// (paths without `/`) — children are already contained in their
+    /// parents, and a root opened inside another root (a fit's spans inside
+    /// a command's) counts once, so the total is instrumented wall-clock
+    /// without double counting.
     pub fn span_totals(&self) -> (usize, f64) {
-        // Explicit +0.0 seed: the empty float `sum()` is -0.0, which would
-        // leak a "-0.0ms" into the summary line.
-        let root_ms: f64 = self
+        let mut roots: Vec<(f64, f64)> = self
             .spans
             .iter()
             .filter(|s| !s.path.contains('/'))
-            .map(|s| s.duration_ms)
-            .fold(0.0, |a, b| a + b);
+            .map(|s| (s.start_ms, s.start_ms + s.duration_ms))
+            .collect();
+        roots.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // The length of the union of the root intervals. The +0.0 seed keeps
+        // an empty total from printing as "-0.0ms".
+        let mut root_ms = 0.0;
+        let mut open: Option<(f64, f64)> = None;
+        for (lo, hi) in roots {
+            match &mut open {
+                Some((_, end)) if lo <= *end => *end = end.max(hi),
+                _ => {
+                    if let Some((a, b)) = open.replace((lo, hi)) {
+                        root_ms += b - a;
+                    }
+                }
+            }
+        }
+        if let Some((a, b)) = open {
+            root_ms += b - a;
+        }
         (self.spans.len(), root_ms)
     }
 }
@@ -618,6 +635,28 @@ mod tests {
         assert_eq!(n, 2);
         // Only the root contributes to the total.
         assert!((total - snap.spans[1].duration_ms).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nested_root_spans_count_once_in_the_total() {
+        let span = |path: &str, start_ms: f64, duration_ms: f64| SpanRecord {
+            seq: 0,
+            path: path.to_string(),
+            start_ms,
+            duration_ms,
+        };
+        let snap = Snapshot {
+            spans: vec![
+                span("fit", 0.0, 10.0),
+                span("visit", 2.0, 3.0),
+                span("fit/child", 1.0, 4.0),
+                span("tail", 8.0, 4.0),
+                span("later", 20.0, 5.0),
+            ],
+            ..Snapshot::default()
+        };
+        assert_eq!(snap.span_totals(), (5, 17.0));
+        assert_eq!(Snapshot::default().span_totals().1.to_bits(), 0);
     }
 
     #[test]
