@@ -452,7 +452,6 @@ fn self_host(companies: usize) -> hlm_serve::ServerHandle {
     let engine = Arc::new(Engine::new(corpus));
     let opts = ServeOptions {
         request_budget_millis: Some(DEADLINE_MS),
-        ..ServeOptions::default()
     };
     let bundle = hlm_serve::bundle_from_model(&engine, model, 20, DistanceMetric::Cosine, opts)
         .expect("bundle builds");

@@ -14,9 +14,6 @@ use hlm_eval::{evaluate_recommender, RandomRecommender, RecEvalConfig, Threshold
 use hlm_lda::LdaConfig;
 use hlm_lstm::{AdamOptions, LstmConfig, TrainOptions};
 
-/// The evaluated method families, in figure order.
-pub const METHODS: [&str; 4] = ["CHH", "LSTM", "LDA3", "random"];
-
 /// Evaluation output per method.
 pub struct MethodCurves {
     /// Method label.

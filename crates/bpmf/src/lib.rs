@@ -19,26 +19,9 @@
 use hlm_linalg::cholesky::Cholesky;
 use hlm_linalg::dist::{sample_standard_normal, sample_wishart};
 use hlm_linalg::Matrix;
-use hlm_resilience::{Checkpoint, ResilienceError, TrainControl};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-
-/// Checkpoint kind tag for BPMF Gibbs runs.
-pub const BPMF_CHECKPOINT_KIND: &str = "bpmf";
-
-/// Sampler state after a completed sweep. The prediction accumulator is
-/// serialized (not recomputed) so averaging order — and therefore the final
-/// model bits — match an uninterrupted run.
-#[derive(Serialize, Deserialize)]
-struct BpmfState {
-    iters_done: u64,
-    u: Matrix,
-    v: Matrix,
-    acc: Matrix,
-    n_samples: u64,
-    rng: [u64; 4],
-}
 
 /// One observed rating.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -158,93 +141,6 @@ impl BpmfModel {
         }
         out
     }
-
-    /// Appends prediction rows `U_new · Vᵀ` for companies that arrived after
-    /// the fit — the cheap half of the streaming update (see
-    /// [`fold_in_rows`]). Existing rows are untouched.
-    ///
-    /// # Panics
-    /// Panics if the factor dimensionalities disagree or `v` does not have
-    /// one row per existing prediction column.
-    pub fn extend_rows(&mut self, u_new: &Matrix, v: &Matrix) {
-        assert_eq!(
-            u_new.cols(),
-            v.cols(),
-            "factor dimensionality mismatch between U_new and V"
-        );
-        assert_eq!(
-            v.rows(),
-            self.predictions.cols(),
-            "V must have one row per predicted column"
-        );
-        let extra = u_new.matmul_nt(v);
-        let (r0, c) = self.predictions.shape();
-        let mut out = Matrix::zeros(r0 + extra.rows(), c);
-        for i in 0..r0 {
-            out.row_mut(i).copy_from_slice(self.predictions.row(i));
-        }
-        for i in 0..extra.rows() {
-            out.row_mut(r0 + i).copy_from_slice(extra.row(i));
-        }
-        self.predictions = out;
-    }
-}
-
-/// Ridge (MAP) factor estimates for new rows given frozen item factors `v`:
-/// for each row the posterior mean of `u_i` under the Gaussian likelihood
-/// with precision `α` and an isotropic prior with precision `lambda`,
-///
-/// `u_i = (λI + α Σ v_j v_jᵀ)⁻¹ · α Σ r_ij v_j`.
-///
-/// This is the standard BPMF cold-start fold-in: item factors stay put, new
-/// company factors are solved in closed form — no sampling, deterministic,
-/// O(|obs|·d² + d³) per row. Rows with no observations get zero factors
-/// (predictions fall back to 0, the clamp floor for binary rankings).
-///
-/// # Panics
-/// Panics if `alpha` or `lambda` is not positive, or a rating addresses an
-/// item `>= v.rows()`.
-pub fn fold_in_rows(v: &Matrix, rows: &[Vec<(usize, f64)>], alpha: f64, lambda: f64) -> Matrix {
-    assert!(alpha > 0.0, "observation precision must be positive");
-    assert!(lambda > 0.0, "prior precision must be positive");
-    let d = v.cols();
-    let prior = Matrix::identity(d).scale(lambda);
-    let mut out = Matrix::zeros(rows.len(), d);
-    let mut prec = Matrix::zeros(d, d);
-    let mut b = vec![0.0; d];
-    for (i, obs) in rows.iter().enumerate() {
-        if obs.is_empty() {
-            continue;
-        }
-        prec.copy_from(&prior);
-        b.iter_mut().for_each(|x| *x = 0.0);
-        for &(j, rating) in obs {
-            assert!(
-                j < v.rows(),
-                "rating item {j} outside V's {} rows",
-                v.rows()
-            );
-            let vj = v.row(j);
-            prec.add_outer(alpha, vj, vj);
-            for (bk, &vk) in b.iter_mut().zip(vj) {
-                *bk += alpha * rating * vk;
-            }
-        }
-        let chol = Cholesky::decompose_with_jitter(&prec, 1e-8, 10).expect("precision is SPD");
-        out.row_mut(i).copy_from_slice(&chol.solve(&b));
-    }
-    out
-}
-
-/// Extracts the item-factor matrix `V` from a BPMF checkpoint — the frozen
-/// side of the streaming fold-in ([`fold_in_rows`]).
-pub fn item_factors_from_checkpoint(ckpt: &Checkpoint) -> Result<Matrix, ResilienceError> {
-    if ckpt.kind != BPMF_CHECKPOINT_KIND {
-        return Err(ResilienceError::Mismatch {
-            reason: format!("kind {} != {BPMF_CHECKPOINT_KIND}", ckpt.kind),
-        });
-    }
-    Ok(parse_payload(&ckpt.payload)?.v)
 }
 
 /// Samples `(μ, Λ)` from the Gaussian–Wishart posterior given a factor
@@ -395,7 +291,7 @@ fn sample_factors(
 ///
 /// # Panics
 /// Panics on invalid configuration, empty observations, or out-of-range
-/// indices.
+/// indices, and when the running mean prediction goes non-finite.
 pub fn fit(
     n_rows: usize,
     n_cols: usize,
@@ -403,41 +299,6 @@ pub fn fit(
     cfg: &BpmfConfig,
     clamp: Option<(f64, f64)>,
 ) -> BpmfModel {
-    fit_resumable(
-        n_rows,
-        n_cols,
-        ratings,
-        cfg,
-        clamp,
-        &mut TrainControl::noop(),
-        None,
-    )
-    .expect("noop control cannot interrupt training")
-}
-
-/// Like [`fit`], but consults `ctrl` at every sweep boundary (watchdog,
-/// divergence and opt-in score-collapse detection, per-sample checkpointing)
-/// and optionally continues from an earlier run's checkpoint. An
-/// interrupted-then-resumed run produces a model bit-identical to an
-/// uninterrupted one.
-///
-/// Note that score-collapse detection only fires when the control opts in
-/// via [`hlm_resilience::CollapsePolicy::Detect`]: the paper's Figure-5
-/// positive-only setup collapses *by design*, so plain [`fit`] must keep
-/// reproducing it.
-///
-/// # Panics
-/// Panics on the same malformed-input conditions as [`fit`].
-#[allow(clippy::too_many_arguments)]
-pub fn fit_resumable(
-    n_rows: usize,
-    n_cols: usize,
-    ratings: &[Rating],
-    cfg: &BpmfConfig,
-    clamp: Option<(f64, f64)>,
-    ctrl: &mut TrainControl,
-    resume: Option<&Checkpoint>,
-) -> Result<BpmfModel, ResilienceError> {
     cfg.validate();
     assert!(!ratings.is_empty(), "BPMF needs at least one observation");
     let d = cfg.n_factors;
@@ -460,27 +321,14 @@ pub fn fit_resumable(
 
     let mut acc = Matrix::zeros(n_rows, n_cols);
     let mut n_samples = 0u64;
-    let mut start_iter = 0u64;
-
-    if let Some(ckpt) = resume {
-        let state = decode_state(ckpt, n_rows, n_cols, d)?;
-        start_iter = state.iters_done;
-        u = state.u;
-        v = state.v;
-        acc = state.acc;
-        n_samples = state.n_samples;
-        rng = StdRng::from_state(state.rng);
-    }
 
     let rec = hlm_obs::global();
-    for iter in start_iter as usize..cfg.n_iters {
-        ctrl.begin_iteration(iter as u64)?;
+    for iter in 0..cfg.n_iters {
         let sweep_t0 = rec.is_enabled().then(std::time::Instant::now);
         let (mu_u, lambda_u) = sample_hyper(&mut rng, &u, cfg.beta0, cfg.w0_scale);
         let (mu_v, lambda_v) = sample_hyper(&mut rng, &v, cfg.beta0, cfg.w0_scale);
         // Factor streams are keyed by (seed, sweep, side) rather than drawn
-        // from the master RNG, so chunked parallel draws stay reproducible
-        // (and resume-identical: the key depends only on the sweep number).
+        // from the master RNG, so chunked parallel draws stay reproducible.
         let seed_u = hlm_par::split_seed3(cfg.seed ^ 0xFAC7_0125, iter as u64, 0);
         let seed_v = hlm_par::split_seed3(cfg.seed ^ 0xFAC7_0125, iter as u64, 1);
         sample_factors(seed_u, &mut u, &v, &by_row, &mu_u, &lambda_u, cfg.alpha);
@@ -491,15 +339,15 @@ pub fn fit_resumable(
             acc.axpy(1.0, &pred);
             n_samples += 1;
 
-            // Divergence and (opt-in) collapse checks on the running mean of
-            // the sampled predictions.
-            let mean = acc.clone().scale(1.0 / n_samples as f64);
-            ctrl.check_metric(
-                iter as u64,
-                "mean prediction",
-                mean.as_slice().iter().sum::<f64>() / mean.as_slice().len() as f64,
-            )?;
-            ctrl.check_scores(iter as u64, mean.as_slice())?;
+            // Divergence check on the running mean of the sampled
+            // predictions.
+            let inv = 1.0 / n_samples as f64;
+            let mean =
+                acc.as_slice().iter().map(|&x| x * inv).sum::<f64>() / acc.as_slice().len() as f64;
+            assert!(
+                mean.is_finite(),
+                "mean prediction went non-finite ({mean}) at sweep {iter}"
+            );
         }
 
         // Pure observation of the finished sweep (the sample counter only
@@ -511,89 +359,13 @@ pub fn fit_resumable(
                 rec.add("bpmf.samples", 1);
             }
         }
-
-        ctrl.checkpoint(iter as u64 + 1, || {
-            encode_state(&BpmfState {
-                iters_done: iter as u64 + 1,
-                u: u.clone(),
-                v: v.clone(),
-                acc: acc.clone(),
-                n_samples,
-                rng: rng.state(),
-            })
-        });
     }
     assert!(n_samples > 0, "no samples collected");
     acc.scale_mut(1.0 / n_samples as f64);
-    Ok(BpmfModel {
+    BpmfModel {
         predictions: acc,
         clamp,
-    })
-}
-
-/// Materializes a model directly from a checkpoint, without further sweeps —
-/// the rollback path when a later sweep diverges. Fails with
-/// [`ResilienceError::Mismatch`] if the checkpoint predates burn-in.
-pub fn model_from_checkpoint(
-    ckpt: &Checkpoint,
-    clamp: Option<(f64, f64)>,
-) -> Result<BpmfModel, ResilienceError> {
-    if ckpt.kind != BPMF_CHECKPOINT_KIND {
-        return Err(ResilienceError::Mismatch {
-            reason: format!("kind {} != {BPMF_CHECKPOINT_KIND}", ckpt.kind),
-        });
     }
-    let state = parse_payload(&ckpt.payload)?;
-    if state.n_samples == 0 {
-        return Err(ResilienceError::Mismatch {
-            reason: "checkpoint predates burn-in: no prediction samples collected".to_string(),
-        });
-    }
-    let mut acc = state.acc;
-    acc.scale_mut(1.0 / state.n_samples as f64);
-    Ok(BpmfModel {
-        predictions: acc,
-        clamp,
-    })
-}
-
-fn encode_state(state: &BpmfState) -> Vec<u8> {
-    serde_json::to_string(state)
-        .expect("bpmf state serializes")
-        .into_bytes()
-}
-
-fn parse_payload(payload: &[u8]) -> Result<BpmfState, ResilienceError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| ResilienceError::corrupt("bpmf payload is not UTF-8"))?;
-    serde_json::from_str(text)
-        .map_err(|e| ResilienceError::corrupt(format!("bpmf payload does not parse: {e}")))
-}
-
-fn decode_state(
-    ckpt: &Checkpoint,
-    n_rows: usize,
-    n_cols: usize,
-    d: usize,
-) -> Result<BpmfState, ResilienceError> {
-    if ckpt.kind != BPMF_CHECKPOINT_KIND {
-        return Err(ResilienceError::Mismatch {
-            reason: format!("kind {} != {BPMF_CHECKPOINT_KIND}", ckpt.kind),
-        });
-    }
-    let state = parse_payload(&ckpt.payload)?;
-    if state.u.rows() != n_rows
-        || state.u.cols() != d
-        || state.v.rows() != n_cols
-        || state.v.cols() != d
-        || state.acc.rows() != n_rows
-        || state.acc.cols() != n_cols
-    {
-        return Err(ResilienceError::Mismatch {
-            reason: "checkpoint factor shapes do not match the rating matrix".to_string(),
-        });
-    }
-    Ok(state)
 }
 
 #[cfg(test)]
@@ -733,144 +505,6 @@ mod tests {
     #[should_panic(expected = "at least one observation")]
     fn rejects_empty_observations() {
         fit(3, 3, &[], &quick_cfg(1), None);
-    }
-
-    #[test]
-    fn kill_and_resume_matches_uninterrupted_run() {
-        use hlm_resilience::{CheckpointStore, MemIo, RunGuard};
-
-        let (obs, _) = planted_ratings(12, 6);
-        let cfg = quick_cfg(7);
-        let full = fit(12, 6, &obs, &cfg, None);
-
-        // Kill after burn-in (15) so the prediction accumulator is mid-sum.
-        let store = CheckpointStore::new(Box::new(MemIo::new()));
-        let mut ctrl = TrainControl::new(BPMF_CHECKPOINT_KIND, &store)
-            .with_guard(RunGuard::unlimited().abort_at_iteration(25));
-        let err = fit_resumable(12, 6, &obs, &cfg, None, &mut ctrl, None).unwrap_err();
-        assert!(err.is_interruption());
-
-        let ckpt = store.latest_good(BPMF_CHECKPOINT_KIND).unwrap().unwrap();
-        assert_eq!(ckpt.iteration, 25);
-        let resumed = fit_resumable(
-            12,
-            6,
-            &obs,
-            &cfg,
-            None,
-            &mut TrainControl::noop(),
-            Some(&ckpt),
-        )
-        .unwrap();
-        for i in 0..12 {
-            assert_eq!(
-                resumed.predict_row(i),
-                full.predict_row(i),
-                "row {i} must be bit-identical after resume"
-            );
-        }
-
-        // Rollback from the same checkpoint yields a usable (partial-average)
-        // model.
-        let rolled = model_from_checkpoint(&ckpt, None).unwrap();
-        assert_eq!(rolled.shape(), (12, 6));
-        assert!(rolled.all_scores().iter().all(|s| s.is_finite()));
-    }
-
-    #[test]
-    fn collapse_detection_is_opt_in_and_fires_on_constant_scores() {
-        use hlm_resilience::CollapsePolicy;
-
-        // All-identical positive-only ratings with heavy clamping produce a
-        // near-constant prediction matrix only under pathological configs;
-        // instead, prove the plumbing with an injected NaN, and that the
-        // default policy leaves the Figure-5 setup alone.
-        let (obs, _) = planted_ratings(10, 6);
-        let cfg = quick_cfg(4);
-
-        let mut strict = TrainControl::noop()
-            .with_faults(hlm_resilience::FaultPlan::none().with_nan_at_iteration(20));
-        let err = fit_resumable(10, 6, &obs, &cfg, None, &mut strict, None).unwrap_err();
-        assert!(matches!(
-            err,
-            ResilienceError::Diverged { iteration: 20, .. }
-        ));
-
-        // Opt-in collapse detection does not fire on healthy factorization.
-        let mut detect = TrainControl::noop().with_collapse_policy(CollapsePolicy::Detect);
-        assert!(fit_resumable(10, 6, &obs, &cfg, None, &mut detect, None).is_ok());
-    }
-
-    #[test]
-    fn fold_in_rows_recovers_planted_factors() {
-        // Planted V with distinct rows; new companies rate every item from a
-        // known u; the ridge solution must reproduce u (small prior, exact
-        // ratings) and the extended model must predict the products.
-        let d = 3;
-        let v = Matrix::from_fn(6, d, |i, j| ((i * 3 + j) % 5) as f64 * 0.5 - 1.0);
-        let planted: Vec<Vec<f64>> = vec![vec![1.0, -0.5, 2.0], vec![0.0, 1.5, -1.0]];
-        let rows: Vec<Vec<(usize, f64)>> = planted
-            .iter()
-            .map(|u| {
-                (0..6)
-                    .map(|j| (j, u.iter().zip(v.row(j)).map(|(a, b)| a * b).sum()))
-                    .collect()
-            })
-            .collect();
-        let u_new = fold_in_rows(&v, &rows, 100.0, 1e-4);
-        for (i, u) in planted.iter().enumerate() {
-            for (k, &want) in u.iter().enumerate() {
-                let got = u_new.get(i, k);
-                assert!((got - want).abs() < 1e-2, "u[{i}][{k}] {got} vs {want}");
-            }
-        }
-    }
-
-    #[test]
-    fn fold_in_rows_empty_row_gets_zero_factors() {
-        let v = Matrix::identity(4);
-        let u = fold_in_rows(&v, &[vec![], vec![(0, 1.0)]], 2.0, 1.0);
-        assert!(u.row(0).iter().all(|&x| x == 0.0));
-        assert!(u.row(1).iter().any(|&x| x != 0.0));
-    }
-
-    #[test]
-    fn extend_rows_appends_dot_product_predictions() {
-        let (obs, _) = planted_ratings(8, 5);
-        let mut model = fit(8, 5, &obs, &quick_cfg(5), Some((0.0, 5.0)));
-        let v = Matrix::from_fn(5, 2, |i, j| (i + j) as f64 * 0.1);
-        let u_new = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let before_row0 = model.predict_row(0);
-        model.extend_rows(&u_new, &v);
-        assert_eq!(model.shape(), (9, 5));
-        assert_eq!(model.predict_row(0), before_row0, "existing rows untouched");
-        for j in 0..5 {
-            let raw: f64 = [1.0, 2.0].iter().zip(v.row(j)).map(|(a, b)| a * b).sum();
-            assert_eq!(model.predict(8, j), raw.clamp(0.0, 5.0));
-        }
-    }
-
-    #[test]
-    fn item_factors_roundtrip_through_checkpoint() {
-        use hlm_resilience::{CheckpointStore, MemIo, RunGuard};
-
-        let (obs, _) = planted_ratings(12, 6);
-        let cfg = quick_cfg(7);
-        let store = CheckpointStore::new(Box::new(MemIo::new()));
-        let mut ctrl = TrainControl::new(BPMF_CHECKPOINT_KIND, &store)
-            .with_guard(RunGuard::unlimited().abort_at_iteration(25));
-        fit_resumable(12, 6, &obs, &cfg, None, &mut ctrl, None).unwrap_err();
-        let ckpt = store.latest_good(BPMF_CHECKPOINT_KIND).unwrap().unwrap();
-
-        let v = item_factors_from_checkpoint(&ckpt).unwrap();
-        assert_eq!(v.shape(), (6, cfg.n_factors));
-        assert!(v.as_slice().iter().all(|x| x.is_finite()));
-
-        let bad = Checkpoint {
-            kind: "lda".to_string(),
-            ..ckpt.clone()
-        };
-        assert!(item_factors_from_checkpoint(&bad).is_err());
     }
 
     #[test]

@@ -245,11 +245,6 @@ impl AprioriModel {
         &self.rules
     }
 
-    /// Number of frequent itemsets (all sizes).
-    pub fn frequent_itemset_count(&self) -> usize {
-        self.itemset_support.len()
-    }
-
     /// Support of an itemset, if frequent.
     pub fn support_of(&self, itemset: &[usize]) -> Option<f64> {
         let mut key = itemset.to_vec();
@@ -329,7 +324,7 @@ mod tests {
             },
         );
         // Only item 0 appears in >= 90% of baskets.
-        assert_eq!(strict.frequent_itemset_count(), 1);
+        assert_eq!(strict.itemset_support.len(), 1);
         assert!(strict.rules().is_empty());
         let loose = AprioriModel::mine(
             4,
@@ -339,7 +334,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(loose.frequent_itemset_count() > strict.frequent_itemset_count());
+        assert!(loose.itemset_support.len() > strict.itemset_support.len());
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl SpaceSaving {
         self.counters.get(&item).map(|&(c, _)| c).unwrap_or(0)
     }
 
-    /// Guaranteed lower bound on an item's true count.
-    pub fn lower_bound(&self, item: usize) -> u64 {
-        self.counters.get(&item).map(|&(c, e)| c - e).unwrap_or(0)
-    }
-
     /// Total observations fed into this summary.
     pub fn total(&self) -> u64 {
         self.total
@@ -260,7 +255,6 @@ mod tests {
         ss.observe(2);
         assert_eq!(ss.estimate(1), 5);
         assert_eq!(ss.estimate(2), 1);
-        assert_eq!(ss.lower_bound(1), 5);
         assert_eq!(ss.total(), 6);
     }
 

@@ -574,7 +574,6 @@ pub fn serve_until(
     let engine = Arc::new(Engine::new(corpus));
     let opts = ServeOptions {
         request_budget_millis: Some(flags.deadline_ms),
-        ..ServeOptions::default()
     };
 
     // Warm start beats retraining: when the checkpoint dir has a good

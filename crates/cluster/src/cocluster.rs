@@ -35,16 +35,6 @@ impl CoClustering {
             .collect()
     }
 
-    /// The rows assigned to co-cluster `c`.
-    pub fn rows_of(&self, c: usize) -> Vec<usize> {
-        self.row_labels
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l == c)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Sizes `(rows, cols)` of each co-cluster.
     pub fn sizes(&self) -> Vec<(usize, usize)> {
         (0..self.k)
@@ -191,7 +181,6 @@ mod tests {
         let cols: usize = sizes.iter().map(|s| s.1).sum();
         assert_eq!(rows, 20);
         assert_eq!(cols, 8);
-        assert_eq!(cc.rows_of(0).len() + cc.rows_of(1).len(), 20);
     }
 
     #[test]

@@ -188,8 +188,10 @@ impl Company {
     /// Products with `index >= vocab_len` are skipped rather than asserted
     /// away: when the vocabulary has grown mid-stream, a model trained on the
     /// older, shorter vocabulary can still score this company over the
-    /// categories it knows about.
-    pub fn binary_vector(&self, vocab_len: usize) -> Vec<f64> {
+    /// categories it knows about. The tests' oracle for the corpus's binary
+    /// matrix rows.
+    #[cfg(test)]
+    pub(crate) fn binary_vector(&self, vocab_len: usize) -> Vec<f64> {
         let mut v = vec![0.0; vocab_len];
         for e in &self.events {
             if e.product.index() < vocab_len {

@@ -148,14 +148,6 @@ impl Corpus {
         out
     }
 
-    /// The set views `A_i` for a subset of companies, as id-index vectors —
-    /// the "documents" fed to LDA.
-    pub fn documents_for(&self, ids: &[CompanyId]) -> Vec<Vec<ProductId>> {
-        ids.iter()
-            .map(|&id| self.company(id).product_set())
-            .collect()
-    }
-
     /// The sequence views `AS_i` for a subset of companies — the inputs to
     /// the sequential models (LSTM, n-gram, CHH).
     pub fn sequences_for(&self, ids: &[CompanyId]) -> Vec<Vec<ProductId>> {
@@ -224,7 +216,7 @@ mod tests {
     fn documents_and_sequences() {
         let c = sample_corpus();
         let ids: Vec<CompanyId> = c.ids().collect();
-        let docs = c.documents_for(&ids);
+        let docs: Vec<Vec<ProductId>> = ids.iter().map(|&id| c.company(id).product_set()).collect();
         assert_eq!(docs[0], vec![ProductId(0), ProductId(2)]);
         let seqs = c.sequences_for(&ids);
         assert_eq!(seqs[0], vec![ProductId(0), ProductId(2)]);

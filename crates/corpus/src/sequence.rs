@@ -1,5 +1,5 @@
-//! Sequence utilities shared by the sequential models: n-gram extraction
-//! with begin/end-of-sequence markers and n-gram counting.
+//! Sequence utilities shared by the sequential models: the token alphabet
+//! with begin/end-of-sequence markers, n-gram windows and n-gram counting.
 
 use crate::vocab::ProductId;
 use std::collections::HashMap;
@@ -31,67 +31,12 @@ impl Token {
             Token::Eos => vocab_len + 1,
         }
     }
-
-    /// Inverse of [`Token::index`].
-    ///
-    /// # Panics
-    /// Panics if `idx >= vocab_len + 2`.
-    pub fn from_index(idx: usize, vocab_len: usize) -> Token {
-        if idx < vocab_len {
-            Token::Product(ProductId(idx as u16))
-        } else if idx == vocab_len {
-            Token::Bos
-        } else if idx == vocab_len + 1 {
-            Token::Eos
-        } else {
-            panic!("token index {idx} out of range for vocab of {vocab_len}")
-        }
-    }
-}
-
-/// Total number of token indices for a product vocabulary of `vocab_len`.
-pub fn token_count(vocab_len: usize) -> usize {
-    vocab_len + 2
-}
-
-/// Wraps a product sequence with BOS … EOS markers.
-pub fn with_markers(seq: &[ProductId]) -> Vec<Token> {
-    let mut out = Vec::with_capacity(seq.len() + 2);
-    out.push(Token::Bos);
-    out.extend(seq.iter().map(|&p| Token::Product(p)));
-    out.push(Token::Eos);
-    out
 }
 
 /// Iterates the `n`-grams of a slice (overlapping windows of length `n`).
 pub fn ngrams<T>(seq: &[T], n: usize) -> impl Iterator<Item = &[T]> {
     assert!(n > 0, "n-gram order must be positive");
     seq.windows(n)
-}
-
-/// Counts n-grams of order `n` across many sequences, with BOS padding so
-/// every position has a full left context (standard LM counting). Returns a
-/// map from the n-gram token-index vector to its count.
-pub fn count_ngrams(
-    sequences: &[Vec<ProductId>],
-    n: usize,
-    vocab_len: usize,
-) -> HashMap<Vec<usize>, u64> {
-    assert!(n > 0, "n-gram order must be positive");
-    let mut counts: HashMap<Vec<usize>, u64> = HashMap::new();
-    for seq in sequences {
-        // (n-1) BOS markers, the products, one EOS.
-        let mut toks: Vec<usize> = Vec::with_capacity(seq.len() + n);
-        for _ in 0..n.saturating_sub(1) {
-            toks.push(Token::Bos.index(vocab_len));
-        }
-        toks.extend(seq.iter().map(|&p| Token::Product(p).index(vocab_len)));
-        toks.push(Token::Eos.index(vocab_len));
-        for w in toks.windows(n) {
-            *counts.entry(w.to_vec()).or_insert(0) += 1;
-        }
-    }
-    counts
 }
 
 /// Counts plain product n-grams (no markers) — the statistic the paper's
@@ -121,32 +66,12 @@ mod tests {
     #[test]
     fn token_index_roundtrip() {
         let m = 38;
-        for idx in 0..token_count(m) {
-            let t = Token::from_index(idx, m);
+        for idx in 0..m {
+            let t = Token::Product(p(idx as u16));
             assert_eq!(t.index(m), idx);
         }
         assert_eq!(Token::Bos.index(m), 38);
         assert_eq!(Token::Eos.index(m), 39);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn token_from_index_rejects_out_of_range() {
-        Token::from_index(40, 38);
-    }
-
-    #[test]
-    fn markers_wrap_sequence() {
-        let toks = with_markers(&[p(3), p(7)]);
-        assert_eq!(
-            toks,
-            vec![
-                Token::Bos,
-                Token::Product(p(3)),
-                Token::Product(p(7)),
-                Token::Eos
-            ]
-        );
     }
 
     #[test]
@@ -155,21 +80,6 @@ mod tests {
         let bigrams: Vec<&[i32]> = ngrams(&seq, 2).collect();
         assert_eq!(bigrams, vec![&[1, 2][..], &[2, 3], &[3, 4]]);
         assert_eq!(ngrams(&seq, 5).count(), 0);
-    }
-
-    #[test]
-    fn count_ngrams_pads_with_bos_and_eos() {
-        let seqs = vec![vec![p(0), p(1)]];
-        let m = 2;
-        let bigrams = count_ngrams(&seqs, 2, m);
-        // BOS->0, 0->1, 1->EOS
-        assert_eq!(bigrams.len(), 3);
-        assert_eq!(bigrams[&vec![2, 0]], 1); // BOS index = m = 2
-        assert_eq!(bigrams[&vec![0, 1]], 1);
-        assert_eq!(bigrams[&vec![1, 3]], 1); // EOS index = 3
-        let unigrams = count_ngrams(&seqs, 1, m);
-        // 0, 1, EOS (no BOS for order 1).
-        assert_eq!(unigrams.values().sum::<u64>(), 3);
     }
 
     #[test]

@@ -57,9 +57,12 @@ impl TfIdf {
     /// makes TF-IDF representations cluster far better than raw binary
     /// vectors in the paper's Figure 7).
     ///
+    /// The tests' oracle for [`TfIdf::transform_matrix`].
+    ///
     /// # Panics
     /// Panics if `binary.len()` does not match the fitted vocabulary size.
-    pub fn transform_vector(&self, binary: &[f64]) -> Vec<f64> {
+    #[cfg(test)]
+    fn transform_vector(&self, binary: &[f64]) -> Vec<f64> {
         assert_eq!(
             binary.len(),
             self.idf.len(),

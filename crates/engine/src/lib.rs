@@ -48,8 +48,8 @@ pub use hlm_ngram::NgramConfig;
 use hlm_ngram::NgramLm;
 pub use hlm_par::{effective_threads, par_threshold, set_par_threshold, set_threads};
 pub use hlm_resilience::{
-    CancelHandle, Checkpoint, CheckpointStore, Clock, CollapsePolicy, Fault, FaultPlan,
-    ManualClock, ResilienceError, RunGuard, SystemClock,
+    CancelHandle, Checkpoint, CheckpointStore, Clock, Fault, FaultPlan, ManualClock,
+    ResilienceError, RunGuard, SystemClock,
 };
 
 use hlm_resilience::TrainControl;
@@ -949,57 +949,18 @@ pub fn fit_lda_sharded_online_vb(
     )
 }
 
-/// Checkpointed, resumable, watchdog-guarded BPMF fit. BPMF scores
-/// `(company, product)` cells rather than histories, so it gets its own
-/// entry point instead of riding [`ModelSpec::fit_sequences`].
-///
-/// # Errors
-/// [`EngineError::InvalidSpec`] on zero factors or empty ratings;
-/// resilience errors as in [`fit_lda_resilient`].
-pub fn fit_bpmf_resilient(
-    n_rows: usize,
-    n_cols: usize,
-    ratings: &[hlm_bpmf::Rating],
-    cfg: &hlm_bpmf::BpmfConfig,
-    clamp: Option<(f64, f64)>,
-    plan: TrainPlan,
-) -> Result<ResilientFit<hlm_bpmf::BpmfModel>, EngineError> {
-    ModelSpec::Bpmf(cfg.clone()).validate()?;
-    if ratings.is_empty() {
-        return Err(EngineError::InvalidSpec {
-            reason: "BPMF needs at least one observed rating".into(),
-        });
-    }
-    run_resilient(
-        hlm_bpmf::BPMF_CHECKPOINT_KIND,
-        plan,
-        |ctrl, resume| hlm_bpmf::fit_resumable(n_rows, n_cols, ratings, cfg, clamp, ctrl, resume),
-        |good| hlm_bpmf::model_from_checkpoint(good, clamp),
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Degraded-mode serving
 // ---------------------------------------------------------------------------
 
-/// How a [`ResilientModel`] decides a primary answer is unusable.
-#[derive(Debug, Clone)]
+/// How a [`ResilientModel`] serves. A primary answer with a non-finite or
+/// collapsed (all-constant) score vector always falls back; these options
+/// add the latency budget.
+#[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Per-request latency budget; a primary answer that took longer is
     /// discarded in favour of the fallback. `None` disables the deadline.
     pub request_budget_millis: Option<u64>,
-    /// Score-collapse policy: [`CollapsePolicy::Detect`] (the default here)
-    /// also treats an all-constant score vector as a primary failure.
-    pub collapse: CollapsePolicy,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            request_budget_millis: None,
-            collapse: CollapsePolicy::Detect,
-        }
-    }
 }
 
 /// A response from the fallback chain: the value plus whether it came from
@@ -1061,7 +1022,7 @@ impl ResilientModel {
         if let Some(bad) = scores.iter().find(|s| !s.is_finite()) {
             return Some(format!("primary produced a non-finite score ({bad})"));
         }
-        if self.opts.collapse == CollapsePolicy::Detect && scores.len() > 1 {
+        if scores.len() > 1 {
             let first = scores[0];
             if scores.iter().all(|s| (s - first).abs() < 1e-12) {
                 return Some("primary score distribution collapsed to a constant".to_string());
@@ -1869,7 +1830,6 @@ mod tests {
             fallback,
             ServeOptions {
                 request_budget_millis: Some(20),
-                collapse: CollapsePolicy::Detect,
             },
         )
         .with_clock(Box::new(clock));
@@ -2090,56 +2050,6 @@ mod tests {
             .unwrap();
         assert_eq!(fit.checkpoints_written, 0);
         assert!(fit.model.recommend(&[0]).is_ok());
-    }
-
-    #[test]
-    fn bpmf_trains_resiliently_through_the_engine() {
-        use hlm_bpmf::{BpmfConfig, Rating};
-        use hlm_resilience::{CheckpointStore, MemIo};
-
-        let ratings: Vec<Rating> = (0..8)
-            .flat_map(|r| {
-                (0..4).map(move |c| Rating {
-                    row: r,
-                    col: c,
-                    value: ((r + c) % 3) as f64,
-                })
-            })
-            .collect();
-        let cfg = BpmfConfig {
-            n_factors: 2,
-            n_iters: 30,
-            burn_in: 10,
-            seed: 5,
-            ..Default::default()
-        };
-        let full = fit_bpmf_resilient(8, 4, &ratings, &cfg, None, TrainPlan::new())
-            .unwrap()
-            .model;
-
-        let dir = std::env::temp_dir().join(format!("hlm-engine-bpmf-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let plan = TrainPlan::new()
-            .on_disk(&dir)
-            .unwrap()
-            .with_guard(RunGuard::unlimited().abort_at_iteration(17));
-        let err = fit_bpmf_resilient(8, 4, &ratings, &cfg, None, plan).unwrap_err();
-        assert!(err.is_interruption());
-        let plan = TrainPlan::new().on_disk(&dir).unwrap().resume(true);
-        let fit = fit_bpmf_resilient(8, 4, &ratings, &cfg, None, plan).unwrap();
-        assert_eq!(fit.resumed_from, Some(17));
-        for r in 0..8 {
-            assert_eq!(fit.model.predict_row(r), full.predict_row(r));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Rollback needs at least one post-burn-in sample.
-        let plan = TrainPlan::new()
-            .with_store(CheckpointStore::new(Box::new(MemIo::new())))
-            .with_faults(hlm_resilience::FaultPlan::none().with_nan_at_iteration(25));
-        let fit = fit_bpmf_resilient(8, 4, &ratings, &cfg, None, plan).unwrap();
-        assert!(fit.rolled_back.is_some());
-        assert!(fit.model.all_scores().iter().all(|s| s.is_finite()));
     }
 
     #[test]

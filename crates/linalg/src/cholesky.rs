@@ -162,11 +162,6 @@ impl Cholesky {
         inv
     }
 
-    /// Log-determinant of the original matrix: `2 Σ ln L_ii`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l.get(i, i).ln()).sum::<f64>() * 2.0
-    }
-
     /// Applies the factor: returns `L v` (used to color white noise when
     /// sampling from a multivariate normal).
     pub fn apply_factor(&self, v: &[f64]) -> Vec<f64> {
@@ -229,14 +224,6 @@ mod tests {
                 assert!((prod.get(i, j) - expect).abs() < 1e-10);
             }
         }
-    }
-
-    #[test]
-    fn log_det_matches_2x2_closed_form() {
-        let a = Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 3.0]]);
-        let det: f64 = 2.0 * 3.0 - 0.25;
-        let ch = Cholesky::decompose(&a).unwrap();
-        assert!((ch.log_det() - det.ln()).abs() < 1e-12);
     }
 
     #[test]

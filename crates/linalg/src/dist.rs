@@ -68,16 +68,6 @@ pub fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f64
     }
 }
 
-/// Draws from `Beta(a, b)` as a ratio of gammas.
-///
-/// # Panics
-/// Panics unless both parameters are positive.
-pub fn sample_beta<R: Rng + ?Sized>(rng: &mut R, a: f64, b: f64) -> f64 {
-    let x = sample_gamma(rng, a, 1.0);
-    let y = sample_gamma(rng, b, 1.0);
-    x / (x + y)
-}
-
 /// Draws a probability vector from `Dirichlet(alphas)`.
 ///
 /// # Panics
@@ -99,11 +89,6 @@ pub fn sample_dirichlet<R: Rng + ?Sized>(rng: &mut R, alphas: &[f64]) -> Vec<f64
     }
     draws.iter_mut().for_each(|x| *x /= sum);
     draws
-}
-
-/// Draws a symmetric `Dirichlet(alpha, ..., alpha)` of dimension `k`.
-pub fn sample_symmetric_dirichlet<R: Rng + ?Sized>(rng: &mut R, alpha: f64, k: usize) -> Vec<f64> {
-    sample_dirichlet(rng, &vec![alpha; k])
 }
 
 /// Samples an index proportionally to non-negative `weights` (not necessarily
@@ -129,15 +114,6 @@ pub fn sample_categorical<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usiz
     }
     // Floating-point slack can leave target marginally positive.
     weights.len() - 1
-}
-
-/// Samples an index from unnormalized log-weights.
-///
-/// # Panics
-/// Panics if all weights are `-inf` or the slice is empty.
-pub fn sample_categorical_log<R: Rng + ?Sized>(rng: &mut R, log_weights: &[f64]) -> usize {
-    let weights = crate::special::softmax(log_weights);
-    sample_categorical(rng, &weights)
 }
 
 /// Walker alias table for O(1) categorical sampling, used in the hot Gibbs
@@ -328,9 +304,10 @@ impl AliasTableSet {
     }
 
     /// The probability mass table `t` assigns to category `i`, reconstructed
-    /// from the alias representation. Used by tests to verify construction;
-    /// sums to 1 over `i` up to accumulated rounding.
-    pub fn implied_mass(&self, t: usize, i: usize) -> f64 {
+    /// from the alias representation: the tests' oracle for construction.
+    /// Sums to 1 over `i` up to accumulated rounding.
+    #[cfg(test)]
+    fn implied_mass(&self, t: usize, i: usize) -> f64 {
         let base = t * self.k;
         let mut mass = self.prob[base + i];
         for j in 0..self.k {
@@ -371,42 +348,6 @@ pub fn sample_wishart<R: Rng + ?Sized>(rng: &mut R, df: f64, scale: &Matrix) -> 
     }
     let la = chol.factor().matmul(&a);
     la.matmul(&la.transpose())
-}
-
-/// Draws from a multivariate normal with the given mean and SPD covariance.
-///
-/// # Panics
-/// Panics on dimension mismatch or non-SPD covariance.
-pub fn sample_multivariate_normal<R: Rng + ?Sized>(
-    rng: &mut R,
-    mean: &[f64],
-    cov: &Matrix,
-) -> Vec<f64> {
-    assert_eq!(
-        mean.len(),
-        cov.rows(),
-        "MVN mean/covariance dimension mismatch"
-    );
-    let chol = Cholesky::decompose_with_jitter(cov, 1e-10, 8)
-        .expect("MVN covariance must be positive definite");
-    sample_multivariate_normal_chol(rng, mean, &chol)
-}
-
-/// Draws from a multivariate normal given a pre-computed Cholesky factor of
-/// the covariance (the fast path inside Gibbs sweeps).
-pub fn sample_multivariate_normal_chol<R: Rng + ?Sized>(
-    rng: &mut R,
-    mean: &[f64],
-    cov_chol: &Cholesky,
-) -> Vec<f64> {
-    let d = cov_chol.dim();
-    assert_eq!(mean.len(), d, "MVN mean/Cholesky dimension mismatch");
-    let white: Vec<f64> = (0..d).map(|_| sample_standard_normal(rng)).collect();
-    let mut colored = cov_chol.apply_factor(&white);
-    for (c, &m) in colored.iter_mut().zip(mean) {
-        *c += m;
-    }
-    colored
 }
 
 /// Fisher–Yates shuffle of a slice (thin wrapper kept here so model crates do
@@ -455,16 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn beta_mean() {
-        let mut r = rng();
-        let n = 20_000;
-        let xs: Vec<f64> = (0..n).map(|_| sample_beta(&mut r, 2.0, 6.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        assert!((mean - 0.25).abs() < 0.02);
-        assert!(xs.iter().all(|&x| (0.0..=1.0).contains(&x)));
-    }
-
-    #[test]
     fn dirichlet_is_simplex_and_mean_matches() {
         let mut r = rng();
         let alphas = [1.0, 2.0, 7.0];
@@ -501,19 +432,6 @@ mod tests {
     fn categorical_rejects_all_zero() {
         let mut r = rng();
         sample_categorical(&mut r, &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn categorical_log_matches_linear() {
-        let mut r = rng();
-        let logw = [0.0_f64.ln(), 1.0, 2.0]; // -inf, 1, 2
-        let mut counts = [0usize; 3];
-        for _ in 0..10_000 {
-            counts[sample_categorical_log(&mut r, &logw)] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        let ratio = counts[2] as f64 / counts[1] as f64;
-        assert!((ratio - std::f64::consts::E).abs() < 0.35, "ratio {ratio}");
     }
 
     #[test]
@@ -674,31 +592,6 @@ mod tests {
                 assert!((acc.get(i, j) - expect).abs() < 0.2 * expect.abs().max(1.0));
             }
         }
-    }
-
-    #[test]
-    fn mvn_moments() {
-        let mut r = rng();
-        let mean = [1.0, -1.0];
-        let cov = Matrix::from_rows(&[&[2.0, 0.8], &[0.8, 1.0]]);
-        let n = 20_000;
-        let mut m = [0.0; 2];
-        let mut c01 = 0.0;
-        let samples: Vec<Vec<f64>> = (0..n)
-            .map(|_| sample_multivariate_normal(&mut r, &mean, &cov))
-            .collect();
-        for s in &samples {
-            m[0] += s[0];
-            m[1] += s[1];
-        }
-        m[0] /= n as f64;
-        m[1] /= n as f64;
-        for s in &samples {
-            c01 += (s[0] - m[0]) * (s[1] - m[1]);
-        }
-        c01 /= n as f64;
-        assert!((m[0] - 1.0).abs() < 0.05 && (m[1] + 1.0).abs() < 0.05);
-        assert!((c01 - 0.8).abs() < 0.08, "cov {c01}");
     }
 
     #[test]

@@ -78,22 +78,6 @@ impl Matrix {
         m
     }
 
-    /// Builds a matrix from a flat row-major buffer.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "buffer length {} does not match {}x{}",
-            data.len(),
-            rows,
-            cols
-        );
-        Matrix { rows, cols, data }
-    }
-
     /// Builds a matrix from row slices.
     ///
     /// # Panics
@@ -407,14 +391,6 @@ impl Matrix {
         self.zip_with(other, |a, b| a - b)
     }
 
-    /// Element-wise product (Hadamard).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip_with(other, |a, b| a * b)
-    }
-
     fn zip_with(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
         assert_eq!(
             self.shape(),
@@ -513,11 +489,6 @@ impl Matrix {
         self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
     }
 
-    /// Maximum absolute element, or 0 for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-    }
-
     /// True when every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
@@ -611,7 +582,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[3.0, 4.0]]);
         assert_eq!(a.add(&b).row(0), &[4.0, 6.0]);
         assert_eq!(b.sub(&a).row(0), &[2.0, 2.0]);
-        assert_eq!(a.hadamard(&b).row(0), &[3.0, 8.0]);
         let mut c = a.clone();
         c.axpy(2.0, &b);
         assert_eq!(c.row(0), &[7.0, 10.0]);
@@ -713,7 +683,7 @@ mod tests {
         fn matvec_agrees_with_matmul(rows in 1usize..5, cols in 1usize..5) {
             let m = Matrix::from_fn(rows, cols, |i, j| (i + 2 * j) as f64 * 0.5);
             let v: Vec<f64> = (0..cols).map(|j| j as f64 - 1.0).collect();
-            let as_mat = Matrix::from_vec(cols, 1, v.clone());
+            let as_mat = Matrix::from_fn(cols, 1, |i, _| v[i]);
             let prod = m.matmul(&as_mat);
             let mv = m.matvec(&v);
             for (i, &mvi) in mv.iter().enumerate() {

@@ -119,17 +119,6 @@ impl TruncatedSvd {
         }
         out
     }
-
-    /// Column embeddings `V diag(S)` (terms in LSI space).
-    pub fn col_embeddings(&self) -> Matrix {
-        let mut out = self.v.clone();
-        for i in 0..out.rows() {
-            for (j, &s) in self.s.iter().enumerate() {
-                out.set(i, j, out.get(i, j) * s);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -14,18 +14,6 @@ use crate::error::ResilienceError;
 use crate::fault::FaultPlan;
 use crate::guard::RunGuard;
 
-/// How tightly score vectors are inspected for degenerate output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CollapsePolicy {
-    /// Never inspect score spread (the paper's plain BPMF intentionally
-    /// degenerates in some configurations, so this is the default).
-    #[default]
-    Ignore,
-    /// Treat a score vector whose values are all (nearly) identical, or any
-    /// non-finite score, as divergence.
-    Detect,
-}
-
 /// Runtime control for one training run.
 ///
 /// A `TrainControl` with no sink and an unlimited guard (see
@@ -37,7 +25,6 @@ pub struct TrainControl<'a> {
     sink: Option<&'a dyn CheckpointSink>,
     kind: &'a str,
     faults: FaultPlan,
-    collapse: CollapsePolicy,
     sink_failures: Vec<(u64, ResilienceError)>,
     saves: u64,
 }
@@ -50,7 +37,6 @@ impl<'a> TrainControl<'a> {
             sink: None,
             kind: "",
             faults: FaultPlan::none(),
-            collapse: CollapsePolicy::Ignore,
             sink_failures: Vec::new(),
             saves: 0,
         }
@@ -74,12 +60,6 @@ impl<'a> TrainControl<'a> {
     /// [`crate::fault::FaultyIo`] layer instead).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Opt in to score-collapse detection.
-    pub fn with_collapse_policy(mut self, policy: CollapsePolicy) -> Self {
-        self.collapse = policy;
         self
     }
 
@@ -112,29 +92,6 @@ impl<'a> TrainControl<'a> {
             });
         }
         Ok(value)
-    }
-
-    /// Inspect a score vector for degenerate output (opt-in via
-    /// [`CollapsePolicy::Detect`]): any non-finite score, or every score
-    /// within `1e-12` of the first, counts as divergence.
-    pub fn check_scores(&self, iteration: u64, scores: &[f64]) -> Result<(), ResilienceError> {
-        if self.collapse == CollapsePolicy::Ignore || scores.len() < 2 {
-            return Ok(());
-        }
-        if let Some(bad) = scores.iter().find(|s| !s.is_finite()) {
-            return Err(ResilienceError::Diverged {
-                iteration,
-                reason: format!("non-finite score ({bad})"),
-            });
-        }
-        let first = scores[0];
-        if scores.iter().all(|s| (s - first).abs() < 1e-12) {
-            return Err(ResilienceError::Diverged {
-                iteration,
-                reason: "score distribution collapsed to a constant".to_string(),
-            });
-        }
-        Ok(())
     }
 
     /// Snapshot the state after `iterations_done` completed iterations
@@ -211,7 +168,6 @@ mod tests {
         for i in 0..10 {
             ctrl.begin_iteration(i).unwrap();
             assert_eq!(ctrl.check_metric(i, "nll", 1.5).unwrap(), 1.5);
-            ctrl.check_scores(i, &[1.0, 1.0, 1.0]).unwrap();
             ctrl.checkpoint(i + 1, || panic!("noop must not build payloads"));
         }
         assert_eq!(ctrl.saves(), 0);
@@ -237,18 +193,6 @@ mod tests {
             ctrl.check_metric(2, "nll", 0.5),
             Err(ResilienceError::Diverged { iteration: 2, .. })
         ));
-    }
-
-    #[test]
-    fn collapse_detection_is_opt_in() {
-        let flat = [2.5, 2.5, 2.5];
-        let ok = TrainControl::noop();
-        ok.check_scores(0, &flat).unwrap();
-
-        let strict = TrainControl::noop().with_collapse_policy(CollapsePolicy::Detect);
-        assert!(strict.check_scores(0, &flat).is_err());
-        strict.check_scores(0, &[1.0, 2.0, 3.0]).unwrap();
-        assert!(strict.check_scores(0, &[1.0, f64::NAN]).is_err());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   (injectable [`Clock`]), cooperative cancellation ([`CancelHandle`]), and
 //!   deterministic abort points for kill/resume tests.
 //! - [`control`] — [`TrainControl`], the per-run object trainer loops consult
-//!   at iteration boundaries for watchdog checks, NaN/divergence detection,
-//!   opt-in score-collapse detection, and checkpoint emission.
+//!   at iteration boundaries for watchdog checks, NaN/divergence detection
+//!   and checkpoint emission.
 //! - [`fault`] — a seeded, count-based fault-injection harness
 //!   ([`FaultPlan`], [`FaultyIo`]) so every failure mode the tests exercise
 //!   is reproducible without timing or signals.
@@ -37,7 +37,7 @@ pub mod guard;
 pub mod netfault;
 
 pub use checkpoint::{Checkpoint, CheckpointIo, CheckpointSink, CheckpointStore, FsIo, MemIo};
-pub use control::{CollapsePolicy, TrainControl};
+pub use control::TrainControl;
 pub use error::ResilienceError;
 pub use fault::{Fault, FaultPlan, FaultyIo};
 pub use guard::{CancelHandle, Clock, ManualClock, RunGuard, SystemClock};

@@ -252,7 +252,6 @@ fn gated_bundle(engine: &Engine) -> (ModelBundle, Arc<AtomicBool>, Arc<AtomicUsi
         }),
         ServeOptions {
             request_budget_millis: None,
-            ..ServeOptions::default()
         },
     );
     (b, hold, started)
@@ -270,7 +269,6 @@ fn slow_bundle(engine: &Engine, delay: Duration) -> ModelBundle {
         }),
         ServeOptions {
             request_budget_millis: None,
-            ..ServeOptions::default()
         },
     );
     b

@@ -3,7 +3,6 @@
 //! and degraded-mode serving. Everything here is deterministic — faults fire
 //! by write count or iteration, never by wall clock.
 
-use hlm_bpmf::{BpmfConfig, Rating, BPMF_CHECKPOINT_KIND};
 use hlm_corpus::Month;
 use hlm_engine::{Engine, LdaEstimator, ModelSpec, ServeOptions, TrainPlan};
 use hlm_lda::{unit_weights, GibbsTrainer, LdaConfig, GIBBS_CHECKPOINT_KIND};
@@ -124,62 +123,6 @@ fn lstm_kill_resume_perplexity_matches_uninterrupted() {
         (full_ppl - resumed_ppl).abs() < 1e-9,
         "perplexity diverged: {full_ppl} vs {resumed_ppl}"
     );
-}
-
-fn bpmf_ratings() -> Vec<Rating> {
-    // A deterministic low-rank-ish grid with a planted block structure.
-    let mut ratings = Vec::new();
-    for row in 0..12 {
-        for col in 0..8 {
-            if (row + 2 * col) % 3 == 0 {
-                let value = if (row < 6) == (col < 4) { 4.0 } else { 1.0 };
-                ratings.push(Rating { row, col, value });
-            }
-        }
-    }
-    ratings
-}
-
-#[test]
-fn bpmf_kill_resume_predictions_match_uninterrupted() {
-    let cfg = BpmfConfig {
-        n_factors: 2,
-        n_iters: 30,
-        burn_in: 10,
-        seed: 77,
-        ..Default::default()
-    };
-    let ratings = bpmf_ratings();
-    let full = hlm_bpmf::fit(12, 8, &ratings, &cfg, Some((1.0, 5.0)));
-
-    let store = CheckpointStore::new(Box::new(MemIo::new()));
-    let mut ctrl = TrainControl::new(BPMF_CHECKPOINT_KIND, &store)
-        .with_guard(RunGuard::unlimited().abort_at_iteration(18));
-    assert!(
-        hlm_bpmf::fit_resumable(12, 8, &ratings, &cfg, Some((1.0, 5.0)), &mut ctrl, None)
-            .unwrap_err()
-            .is_interruption()
-    );
-
-    let ckpt = store.latest_good(BPMF_CHECKPOINT_KIND).unwrap().unwrap();
-    let resumed = hlm_bpmf::fit_resumable(
-        12,
-        8,
-        &ratings,
-        &cfg,
-        Some((1.0, 5.0)),
-        &mut TrainControl::noop(),
-        Some(&ckpt),
-    )
-    .unwrap();
-
-    for row in 0..12 {
-        let a = full.predict_row(row);
-        let b = resumed.predict_row(row);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-9, "row {row}: {x} vs {y}");
-        }
-    }
 }
 
 #[test]

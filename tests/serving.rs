@@ -62,7 +62,6 @@ fn child_server_process() {
     let engine = Arc::new(Engine::new(corpus));
     let opts = ServeOptions {
         request_budget_millis: Some(30_000),
-        ..ServeOptions::default()
     };
     let bundle = bundle_from_checkpoint(&engine, &config, &store, DistanceMetric::Cosine, opts)
         .expect("child: warm start from latest good checkpoint");
