@@ -11,7 +11,7 @@ use hlm_lda::{document_completion_perplexity, LdaConfig};
 use hlm_ngram::NgramConfig;
 
 /// LDA ablation: Gibbs sweep count vs held-out perplexity (convergence).
-pub fn lda_sweeps(scale: &ExpScale) -> Table {
+pub(crate) fn lda_sweeps(scale: &ExpScale) -> Table {
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
     let train = hlm_core::representations::binary_docs(&corpus, &split.train);
@@ -44,7 +44,7 @@ pub fn lda_sweeps(scale: &ExpScale) -> Table {
 }
 
 /// N-gram ablation: interpolation weights vs perplexity (trigram model).
-pub fn ngram_lambdas(scale: &ExpScale) -> Table {
+pub(crate) fn ngram_lambdas(scale: &ExpScale) -> Table {
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
     let train = sequences(&corpus, &split.train);
@@ -79,7 +79,7 @@ pub fn ngram_lambdas(scale: &ExpScale) -> Table {
 
 /// CHH ablation: exact tables vs budgeted streaming sketch — agreement of
 /// the strongest rules and memory (tracked contexts).
-pub fn chh_budget(scale: &ExpScale) -> Table {
+pub(crate) fn chh_budget(scale: &ExpScale) -> Table {
     let corpus = scale.corpus();
     let ids: Vec<_> = corpus.ids().collect();
     let seqs: Vec<Vec<usize>> = corpus
@@ -153,7 +153,7 @@ pub fn chh_budget(scale: &ExpScale) -> Table {
 
 /// Representation ablation: nearest-neighbour profile agreement per feature
 /// space (the similarity-search design choice of Section 6).
-pub fn representation_quality(scale: &ExpScale) -> Table {
+pub(crate) fn representation_quality(scale: &ExpScale) -> Table {
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
     let sample: Vec<_> = split
@@ -220,7 +220,7 @@ pub fn representation_quality(scale: &ExpScale) -> Table {
 }
 
 /// LDA inference ablation: fold-in EM vs fold-in Gibbs θ estimates.
-pub fn lda_inference(scale: &ExpScale) -> Table {
+pub(crate) fn lda_inference(scale: &ExpScale) -> Table {
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
     let train = hlm_core::representations::binary_docs(&corpus, &split.train);
@@ -254,7 +254,7 @@ pub fn lda_inference(scale: &ExpScale) -> Table {
 
 /// LDA prior ablation: fixed symmetric alphas vs Minka's fixed-point
 /// estimate (3 topics, binary input).
-pub fn lda_alpha(scale: &ExpScale) -> Table {
+pub(crate) fn lda_alpha(scale: &ExpScale) -> Table {
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
     let train = hlm_core::representations::binary_docs(&corpus, &split.train);
@@ -300,7 +300,7 @@ pub fn lda_alpha(scale: &ExpScale) -> Table {
 
 /// Estimator ablation: collapsed Gibbs vs variational Bayes (the gensim
 /// estimator the paper actually ran) on identical data.
-pub fn gibbs_vs_vb(scale: &ExpScale) -> Table {
+pub(crate) fn gibbs_vs_vb(scale: &ExpScale) -> Table {
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
     let train = hlm_core::representations::binary_docs(&corpus, &split.train);
@@ -339,7 +339,7 @@ pub fn gibbs_vs_vb(scale: &ExpScale) -> Table {
 
 /// RNN-cell ablation: GRU vs LSTM test perplexity at the same width — the
 /// Section-3.4 discussion ("GRUs … do not outperform LSTM in general").
-pub fn gru_vs_lstm(scale: &ExpScale) -> Table {
+pub(crate) fn gru_vs_lstm(scale: &ExpScale) -> Table {
     use hlm_lstm::{AdamOptions, CellKind, LstmConfig, LstmLm, TrainOptions};
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
@@ -400,7 +400,7 @@ pub fn gru_vs_lstm(scale: &ExpScale) -> Table {
 /// LSI baseline: silhouette of k-means clusters on truncated-SVD company
 /// embeddings vs LDA topic mixtures (Section 3.5's interpretability
 /// trade-off — LSI features work but are not interpretable).
-pub fn lsi_vs_lda(scale: &ExpScale) -> Table {
+pub(crate) fn lsi_vs_lda(scale: &ExpScale) -> Table {
     use hlm_cluster::{kmeans, silhouette_score, KmeansOptions};
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
@@ -441,7 +441,7 @@ pub fn lsi_vs_lda(scale: &ExpScale) -> Table {
 
 /// Co-clustering failure (Section 3.1): spectral co-clustering of the raw
 /// binary matrix concentrates popular products in the dominant co-cluster.
-pub fn cocluster_failure(scale: &ExpScale) -> Table {
+pub(crate) fn cocluster_failure(scale: &ExpScale) -> Table {
     use hlm_cluster::spectral_cocluster;
     let corpus = scale.corpus();
     let split = scale.split(&corpus);

@@ -64,7 +64,7 @@ pub fn lstm_spec(
 
 /// Trains one LSTM architecture through the engine and returns its test
 /// perplexity.
-pub fn train_and_eval(
+pub(crate) fn train_and_eval(
     scale: &ExpScale,
     vocab_size: usize,
     nodes: usize,

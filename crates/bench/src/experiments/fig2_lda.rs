@@ -12,7 +12,7 @@ use hlm_eval::report::{fmt_f, Table};
 use hlm_lda::{document_completion_perplexity, LdaConfig, LdaModel, WeightedDoc};
 
 /// Topic counts swept (the paper's x-axis runs 2..16).
-pub const TOPIC_GRID: [usize; 10] = [2, 3, 4, 5, 6, 8, 10, 12, 14, 16];
+pub(crate) const TOPIC_GRID: [usize; 10] = [2, 3, 4, 5, 6, 8, 10, 12, 14, 16];
 
 /// Trains one LDA configuration through the engine.
 pub fn train_lda(

@@ -19,7 +19,7 @@ pub fn thresholds() -> Vec<f64> {
 }
 
 /// Runs the BPMF protocol at the given scale.
-pub fn evaluate(scale: &ExpScale) -> BpmfEvaluation {
+pub(crate) fn evaluate(scale: &ExpScale) -> BpmfEvaluation {
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
     let cfg = BpmfConfig {

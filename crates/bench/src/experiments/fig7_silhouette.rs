@@ -14,7 +14,8 @@ use hlm_eval::report::{fmt_f, Table};
 use hlm_linalg::Matrix;
 
 /// The representations compared, in the paper's legend order.
-pub const REPRESENTATIONS: [&str; 8] = [
+#[cfg(test)]
+pub(crate) const REPRESENTATIONS: [&str; 8] = [
     "raw",
     "raw_tfidf",
     "lda_2",
@@ -26,7 +27,7 @@ pub const REPRESENTATIONS: [&str; 8] = [
 ];
 
 /// Builds all eight representation matrices for a company sample.
-pub fn build_representations(scale: &ExpScale) -> Vec<(String, Matrix)> {
+pub(crate) fn build_representations(scale: &ExpScale) -> Vec<(String, Matrix)> {
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
     // Silhouettes are O(n²): cluster a seeded sample of the training split.
@@ -67,7 +68,7 @@ pub fn build_representations(scale: &ExpScale) -> Vec<(String, Matrix)> {
 }
 
 /// Silhouette of k-means clusters on one representation.
-pub fn silhouette_at(reps: &Matrix, k: usize, seed: u64) -> f64 {
+pub(crate) fn silhouette_at(reps: &Matrix, k: usize, seed: u64) -> f64 {
     let res = kmeans(
         reps,
         &KmeansOptions {

@@ -13,9 +13,9 @@ use hlm_eval::report::{fmt_f, Table};
 use hlm_linalg::Matrix;
 
 /// Product groups the paper calls out as co-located.
-pub const HARDWARE_GROUP: [&str; 3] = ["server_HW", "storage_HW", "HW_other"];
+pub(crate) const HARDWARE_GROUP: [&str; 3] = ["server_HW", "storage_HW", "HW_other"];
 /// Software products the paper lists as a second co-located group.
-pub const SOFTWARE_GROUP: [&str; 5] = [
+pub(crate) const SOFTWARE_GROUP: [&str; 5] = [
     "commerce",
     "media",
     "collaboration",
@@ -24,7 +24,7 @@ pub const SOFTWARE_GROUP: [&str; 5] = [
 ];
 
 /// t-SNE map of the product embeddings of a `k`-topic LDA model.
-pub fn product_map(scale: &ExpScale, k: usize) -> (Vec<String>, Matrix) {
+pub(crate) fn product_map(scale: &ExpScale, k: usize) -> (Vec<String>, Matrix) {
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
     let docs = hlm_core::representations::binary_docs(&corpus, &split.train);
@@ -52,7 +52,7 @@ pub fn product_map(scale: &ExpScale, k: usize) -> (Vec<String>, Matrix) {
 }
 
 /// Mean pairwise 2-D distance within a named product group.
-pub fn group_spread(names: &[String], coords: &Matrix, group: &[&str]) -> f64 {
+pub(crate) fn group_spread(names: &[String], coords: &Matrix, group: &[&str]) -> f64 {
     let idx: Vec<usize> = group
         .iter()
         .map(|g| {
@@ -74,7 +74,7 @@ pub fn group_spread(names: &[String], coords: &Matrix, group: &[&str]) -> f64 {
 }
 
 /// Mean pairwise 2-D distance over all products.
-pub fn overall_spread(coords: &Matrix) -> f64 {
+pub(crate) fn overall_spread(coords: &Matrix) -> f64 {
     let n = coords.rows();
     let mut total = 0.0;
     let mut count = 0usize;

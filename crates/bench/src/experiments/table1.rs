@@ -11,7 +11,7 @@ use hlm_ngram::NgramConfig;
 
 /// Minimum perplexity per method family.
 #[derive(Debug, Clone)]
-pub struct MethodResult {
+pub(crate) struct MethodResult {
     /// Family label.
     pub method: String,
     /// Best test perplexity across the family's parameter grid.
@@ -19,7 +19,7 @@ pub struct MethodResult {
 }
 
 /// Computes the Table-1 entries.
-pub fn compute(scale: &ExpScale) -> Vec<MethodResult> {
+pub(crate) fn compute(scale: &ExpScale) -> Vec<MethodResult> {
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
 

@@ -67,7 +67,7 @@ impl ExpScale {
     }
 
     /// Default preset used by the experiment binaries.
-    pub fn medium() -> Self {
+    pub(crate) fn medium() -> Self {
         ExpScale {
             name: "medium",
             n_companies: 4_000,
@@ -105,7 +105,7 @@ impl ExpScale {
     /// stream-generated to disk shards and never materialised in RAM, so
     /// the in-memory experiment binaries refuse it by construction (their
     /// `corpus()` call would allocate the whole thing; don't).
-    pub fn xl() -> Self {
+    pub(crate) fn xl() -> Self {
         ExpScale {
             name: "xl",
             n_companies: 1_000_000,

@@ -274,11 +274,6 @@ impl AprioriModel {
         }
         scores
     }
-
-    /// Baskets the model was mined from.
-    pub fn n_baskets(&self) -> usize {
-        self.n_baskets
-    }
 }
 
 #[cfg(test)]

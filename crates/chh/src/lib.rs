@@ -26,4 +26,4 @@ pub mod streaming;
 
 pub use apriori::{AprioriConfig, AprioriModel, AssociationRule};
 pub use exact::{ConditionalHeavyHitter, ExactChh};
-pub use streaming::{SpaceSaving, StreamingChh};
+pub use streaming::StreamingChh;

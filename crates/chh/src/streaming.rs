@@ -13,7 +13,7 @@ use std::collections::HashMap;
 /// Classic SpaceSaving counter set (Metwally et al.): tracks up to `k` items
 /// with guaranteed overestimation error ≤ `min monitored count`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SpaceSaving {
+pub(crate) struct SpaceSaving {
     capacity: usize,
     /// item → (count, error)
     counters: HashMap<usize, (u64, u64)>,

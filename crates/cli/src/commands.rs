@@ -17,7 +17,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Usage text.
-pub fn help_text() -> String {
+pub(crate) fn help_text() -> String {
     format!(
         "\
 hlm — hidden-layer models for company install bases
@@ -389,8 +389,9 @@ fn fit_notes(
 }
 
 /// Out-of-core LDA on a sharded store: one shard of companies in memory at
-/// a time. Gibbs spills per-shard sampler state next to the checkpoints
-/// (or under the store for unplanned runs); online VB needs no spills.
+/// a time. Gibbs spills per-shard sampler state next to the checkpoints,
+/// or without a checkpoint dir under the store until the fit returns;
+/// online VB needs no spills.
 fn train_lda_sharded(
     store: &ShardStore,
     topics: usize,
@@ -410,13 +411,22 @@ fn train_lda_sharded(
     };
     let plan = build_plan(flags)?;
     let fit = match estimator {
-        TopicsEstimator::Gibbs => {
-            let work_dir = match &flags.checkpoint_dir {
-                Some(dir) => Path::new(dir).join("spills"),
-                None => store.dir().join(".gibbs_work"),
-            };
-            hlm_engine::fit_lda_sharded_gibbs(config, store, work_dir, plan).map_err(engine_err)?
-        }
+        TopicsEstimator::Gibbs => match &flags.checkpoint_dir {
+            Some(dir) => {
+                let work_dir = Path::new(dir).join("spills");
+                hlm_engine::fit_lda_sharded_gibbs(config, store, work_dir, plan)
+                    .map_err(engine_err)?
+            }
+            None => {
+                // Without a checkpoint nothing can resume from the spills,
+                // so they go when the fit returns, whether it succeeded or
+                // failed.
+                let work_dir = store.dir().join(".gibbs_work");
+                let fit = hlm_engine::fit_lda_sharded_gibbs(config, store, &work_dir, plan);
+                let _ = std::fs::remove_dir_all(&work_dir);
+                fit.map_err(engine_err)?
+            }
+        },
         TopicsEstimator::OnlineVb => {
             let opts = OnlineVbOptions {
                 epochs: iters.max(1),
@@ -561,7 +571,7 @@ pub fn serve(data: &str, flags: &ServeFlags) -> Result<String, CliError> {
 
 /// [`serve`] with an injectable stop flag, so tests can run a real server
 /// in-process and shut it down without sending signals.
-pub fn serve_until(
+pub(crate) fn serve_until(
     data: &str,
     flags: &ServeFlags,
     stop: Arc<AtomicBool>,

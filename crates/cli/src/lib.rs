@@ -14,7 +14,7 @@
 //! exit code: usage errors exit 2, data errors 3, engine/training errors 4.
 
 pub mod args;
-pub mod commands;
+pub(crate) mod commands;
 
 pub use args::{
     parse_args, parse_invocation, Command, Invocation, MetricsFormat, ParsedArgs, ReplayFlags,

@@ -179,7 +179,8 @@ impl Gmm {
     }
 
     /// Mean log-likelihood of the rows of `points` under the mixture.
-    pub fn log_likelihood(&self, points: &Matrix) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn log_likelihood(&self, points: &Matrix) -> f64 {
         let n = points.rows();
         let mut total = 0.0;
         for i in 0..n {
@@ -189,7 +190,8 @@ impl Gmm {
     }
 
     /// Log density of one point.
-    pub fn log_density(&self, x: &[f64]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn log_density(&self, x: &[f64]) -> f64 {
         let lps: Vec<f64> = (0..self.k())
             .map(|c| {
                 self.weights[c].max(1e-300).ln()
@@ -200,7 +202,7 @@ impl Gmm {
     }
 
     /// Posterior component responsibilities `γ(k | x)`.
-    pub fn responsibilities(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn responsibilities(&self, x: &[f64]) -> Vec<f64> {
         let lps: Vec<f64> = (0..self.k())
             .map(|c| {
                 self.weights[c].max(1e-300).ln()

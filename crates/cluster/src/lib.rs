@@ -6,16 +6,16 @@
 //! Figures 8–9 project LDA product embeddings to 2-D with t-SNE. The paper
 //! used sklearn; this crate implements the same algorithms from scratch.
 
-pub mod cocluster;
+pub(crate) mod cocluster;
 pub mod gmm;
 pub mod kmeans;
 pub mod nmf;
-pub mod silhouette;
+pub(crate) mod silhouette;
 pub mod tsne;
 
 pub use cocluster::{spectral_cocluster, CoClustering};
 pub use gmm::{Gmm, GmmOptions};
 pub use kmeans::{kmeans, KmeansOptions, KmeansResult};
-pub use nmf::{nmf, Nmf, NmfOptions, OverlappingCoCluster};
-pub use silhouette::{silhouette_score, silhouette_score_sampled};
+pub use nmf::{nmf, Nmf, NmfOptions};
+pub use silhouette::silhouette_score;
 pub use tsne::{tsne, TsneOptions};

@@ -9,8 +9,6 @@
 
 use hlm_linalg::vector::euclidean_distance;
 use hlm_linalg::Matrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Exact mean silhouette score over all points (O(n²) distances).
 ///
@@ -27,7 +25,8 @@ pub fn silhouette_score(points: &Matrix, labels: &[usize]) -> f64 {
 ///
 /// # Panics
 /// Same conditions as [`silhouette_score`], applied to the subset.
-pub fn silhouette_score_sampled(
+#[cfg(test)]
+pub(crate) fn silhouette_score_sampled(
     points: &Matrix,
     labels: &[usize],
     max_samples: usize,
@@ -38,8 +37,9 @@ pub fn silhouette_score_sampled(
     if n <= max_samples {
         return silhouette_score(points, labels);
     }
+    use rand::SeedableRng;
     let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     hlm_linalg::dist::shuffle(&mut rng, &mut idx);
     idx.truncate(max_samples);
     silhouette_of_subset(points, labels, &idx)

@@ -103,11 +103,9 @@ pub struct WhitespaceRecommendation {
 #[derive(Debug)]
 pub struct SalesApplication {
     corpus: Arc<Corpus>,
-    representations: Arc<Matrix>,
-    metric: DistanceMetric,
-    /// Flat scoring store over `representations` (shared, not copied):
-    /// cached norms, dot-product cosine. The exact-scan and blocked-batch
-    /// paths run through it (DESIGN.md §3.10).
+    /// Flat scoring store over the representation matrix (shared, not
+    /// copied) and the metric: cached norms, dot-product cosine. Query rows
+    /// and every scan go through it (DESIGN.md §3.10).
     store: RepStore,
     /// Attached memo plus the cache generation this application's
     /// representations belong to (see [`ServingCache`]).
@@ -133,12 +131,9 @@ impl SalesApplication {
                 companies: corpus.len(),
             });
         }
-        let store = RepStore::flat(Arc::clone(&representations), metric);
         Ok(SalesApplication {
             corpus,
-            representations,
-            metric,
-            store,
+            store: RepStore::flat(representations, metric),
             cache: None,
         })
     }
@@ -164,11 +159,6 @@ impl SalesApplication {
     /// without cloning the data).
     pub fn corpus_arc(&self) -> Arc<Corpus> {
         Arc::clone(&self.corpus)
-    }
-
-    /// The representation matrix backing similarity search.
-    pub fn representations(&self) -> &Matrix {
-        &self.representations
     }
 
     /// Top-k companies most similar to `query`, after filtering. The filter
@@ -201,7 +191,7 @@ impl SalesApplication {
                 *generation,
                 query.index(),
                 k,
-                self.metric,
+                self.store.metric(),
                 FilterKey::of(filter),
             )
         });
@@ -232,7 +222,7 @@ impl SalesApplication {
         // distance computation. The result is byte-identical to the
         // pre-store `metric.distance` scan.
         let row = query.index();
-        let pq = self.store.prepare(self.representations.row(row));
+        let pq = self.store.prepare(self.store.row(row));
         let unfiltered = filter.is_empty();
         let ranked = self.store.top_k(&pq, k, |r| {
             r != row && (unfiltered || filter.matches(&self.corpus, CompanyId(r as u32)))
@@ -383,7 +373,7 @@ impl SalesApplication {
                     *generation,
                     query.index(),
                     k,
-                    self.metric,
+                    self.store.metric(),
                     FilterKey::of(filter),
                 )
             })
@@ -404,10 +394,7 @@ impl SalesApplication {
         let scored = hlm_par::par_chunks(&pool, &misses, BATCH_QUERY_CHUNK, |_c, chunk| {
             let pqs: Vec<PreparedQuery> = chunk
                 .iter()
-                .map(|&i| {
-                    self.store
-                        .prepare(self.representations.row(queries[i].index()))
-                })
+                .map(|&i| self.store.prepare(self.store.row(queries[i].index())))
                 .collect();
             let excludes: Vec<Option<usize>> =
                 chunk.iter().map(|&i| Some(queries[i].index())).collect();

@@ -81,6 +81,5 @@ pub use error::CoreError;
 pub use recommenders::{evaluate_bpmf, masked_lda_scores, BpmfEvaluation};
 pub use repstore::{PreparedQuery, RepStore};
 pub use similarity::{
-    bounded_top_k, neighbor_label_agreement, popularity_bias, top_k_similar_scalar, DistanceMetric,
-    TopK,
+    neighbor_label_agreement, popularity_bias, top_k_similar_scalar, DistanceMetric,
 };

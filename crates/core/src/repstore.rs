@@ -121,10 +121,15 @@ impl RepStore {
         self.metric
     }
 
+    /// Stored row `r`, as given at build time.
+    pub fn row(&self, r: usize) -> &[f64] {
+        self.reps.row(r)
+    }
+
     /// Row of the first representation containing a non-finite value, if
     /// any. Callers must refuse to rank such a store (the k-selection would
     /// panic on a NaN distance mid-scan).
-    pub fn first_non_finite(&self) -> Option<u32> {
+    pub(crate) fn first_non_finite(&self) -> Option<u32> {
         self.first_non_finite
     }
 

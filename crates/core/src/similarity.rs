@@ -65,7 +65,7 @@ impl Ord for HeapEntry {
 /// candidate multiset yields the same result, including tie-breaks — the
 /// property the parallel ordered reduction and the blocked batch kernel
 /// rely on for bit-identical rankings.
-pub struct TopK {
+pub(crate) struct TopK {
     k: usize,
     heap: std::collections::BinaryHeap<HeapEntry>,
 }
@@ -103,7 +103,7 @@ impl TopK {
     }
 
     /// The kept candidates, ascending by `(distance, index)`.
-    pub fn into_sorted(self) -> Vec<(usize, f64)> {
+    pub(crate) fn into_sorted(self) -> Vec<(usize, f64)> {
         let mut out: Vec<(usize, f64)> = self
             .heap
             .into_iter()
@@ -127,7 +127,7 @@ impl TopK {
 ///
 /// # Panics
 /// Panics if a distance is NaN.
-pub fn bounded_top_k(
+pub(crate) fn bounded_top_k(
     candidates: impl Iterator<Item = (usize, f64)>,
     k: usize,
 ) -> Vec<(usize, f64)> {

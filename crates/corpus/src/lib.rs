@@ -33,7 +33,7 @@ pub use company::{Company, CompanyId, InstallEvent, Sic2};
 pub use corpus::Corpus;
 pub use shard::{
     CorpusSource, Manifest, MemShardSource, ProductSets, ShardEntry, ShardError, ShardReader,
-    ShardStore, ShardWriter, SHARD_ALIGN,
+    ShardStore, ShardWriter,
 };
 pub use split::Split;
 pub use time::{Month, SlidingWindows, TimeWindow};

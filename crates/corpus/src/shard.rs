@@ -28,13 +28,13 @@ use std::path::{Path, PathBuf};
 /// global chunk offset addresses exactly the same document range — and hence
 /// the same per-chunk RNG stream — as the in-memory sweep. `hlm-lda` pins the
 /// correspondence with a test.
-pub const SHARD_ALIGN: usize = 64;
+pub(crate) const SHARD_ALIGN: usize = 64;
 
 /// File name of the shard-store manifest inside the store directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
 
 /// Manifest schema version.
-pub const MANIFEST_VERSION: u32 = 1;
+pub(crate) const MANIFEST_VERSION: u32 = 1;
 
 /// Magic bytes opening every shard file.
 const SHARD_MAGIC: &[u8; 8] = b"HLMSHRD1";
@@ -138,7 +138,7 @@ pub struct ProductSets {
 
 impl ProductSets {
     /// The product sets of `companies`, in order.
-    pub fn from_companies(companies: &[Company]) -> Self {
+    pub(crate) fn from_companies(companies: &[Company]) -> Self {
         let tokens = companies.iter().map(Company::product_count).sum();
         let mut offsets = Vec::with_capacity(companies.len() + 1);
         let mut products = Vec::with_capacity(tokens);

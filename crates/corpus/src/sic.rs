@@ -9,7 +9,7 @@
 use crate::company::Sic2;
 
 /// Division name by SIC2 range (the top level of the SIC taxonomy).
-pub fn division_name(code: Sic2) -> &'static str {
+pub(crate) fn division_name(code: Sic2) -> &'static str {
     match code.0 {
         1..=9 => "Agriculture, Forestry and Fishing",
         10..=14 => "Mining",

@@ -39,7 +39,7 @@ impl TfIdf {
     }
 
     /// Positive floor applied to IDF weights.
-    pub const MIN_WEIGHT: f64 = 1e-3;
+    pub(crate) const MIN_WEIGHT: f64 = 1e-3;
 
     /// Fits on the whole corpus.
     pub fn fit_all(corpus: &Corpus) -> Self {
@@ -78,7 +78,7 @@ impl TfIdf {
     ///
     /// # Panics
     /// Panics if the column count does not match the fitted vocabulary size.
-    pub fn transform_matrix(&self, binary: &Matrix) -> Matrix {
+    pub(crate) fn transform_matrix(&self, binary: &Matrix) -> Matrix {
         assert_eq!(
             binary.cols(),
             self.idf.len(),

@@ -29,7 +29,7 @@ impl fmt::Display for ProductId {
 
 /// The 38 product categories used throughout the paper's evaluation,
 /// in the order they are referenced by the built-in generator topics.
-pub const STANDARD_CATEGORIES: [&str; 38] = [
+pub(crate) const STANDARD_CATEGORIES: [&str; 38] = [
     "asset_performance",
     "cloud_infrastructure",
     "collaboration",

@@ -30,12 +30,11 @@
 
 pub mod config;
 pub mod events;
-pub mod generator;
-pub mod profiles;
+pub(crate) mod generator;
+pub(crate) mod profiles;
 
 pub use config::GeneratorConfig;
 pub use events::{
     generate_events, EventStream, EventStreamConfig, LaunchSpec, MixShift, StreamEvent, StreamState,
 };
 pub use generator::{generate, generate_sharded, generate_sites};
-pub use profiles::{PlantedProfiles, ProfileSpec};

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// A named planted profile: relative product weights (not necessarily
 /// normalized).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProfileSpec {
+pub(crate) struct ProfileSpec {
     /// Human-readable label.
     pub name: String,
     /// `(category name, relative weight)` pairs; categories not listed get
@@ -23,7 +23,7 @@ pub struct ProfileSpec {
 /// The resolved planted structure: profile-product distributions, the
 /// popularity background and the per-product acquisition stage.
 #[derive(Debug, Clone)]
-pub struct PlantedProfiles {
+pub(crate) struct PlantedProfiles {
     /// `K_true x M` row-stochastic profile-product distributions (before
     /// popularity mixing).
     pub profile_dists: Vec<Vec<f64>>,
@@ -31,8 +31,6 @@ pub struct PlantedProfiles {
     pub popularity: Vec<f64>,
     /// Acquisition stage of each product (0 = foundational, larger = later).
     pub stages: Vec<f64>,
-    /// Profile names.
-    pub names: Vec<String>,
 }
 
 /// Categories that are near-ubiquitous across companies regardless of
@@ -93,7 +91,7 @@ const STAGES: &[(&str, f64)] = &[
 ];
 
 /// The three built-in profiles.
-pub fn standard_profiles() -> Vec<ProfileSpec> {
+pub(crate) fn standard_profiles() -> Vec<ProfileSpec> {
     let mk = |name: &str, items: &[(&str, f64)]| ProfileSpec {
         name: name.to_string(),
         weights: items.iter().map(|&(n, w)| (n.to_string(), w)).collect(),
@@ -168,7 +166,7 @@ impl PlantedProfiles {
     /// # Panics
     /// Panics if a spec references a category missing from the vocabulary,
     /// if a weight is negative, or if a profile has no positive weight.
-    pub fn from_specs(vocab: &Vocabulary, specs: &[ProfileSpec]) -> Self {
+    pub(crate) fn from_specs(vocab: &Vocabulary, specs: &[ProfileSpec]) -> Self {
         assert!(!specs.is_empty(), "need at least one profile");
         let m = vocab.len();
         let resolve = |items: &[(String, f64)]| -> Vec<f64> {
@@ -207,7 +205,6 @@ impl PlantedProfiles {
             profile_dists,
             popularity,
             stages,
-            names: specs.iter().map(|s| s.name.clone()).collect(),
         }
     }
 
@@ -221,7 +218,7 @@ impl PlantedProfiles {
     ///
     /// # Panics
     /// Panics if `k` is out of range or the weight is outside `[0, 1]`.
-    pub fn mixed_distribution(&self, k: usize, popularity_weight: f64) -> Vec<f64> {
+    pub(crate) fn mixed_distribution(&self, k: usize, popularity_weight: f64) -> Vec<f64> {
         assert!((0.0..=1.0).contains(&popularity_weight));
         self.profile_dists[k]
             .iter()
@@ -231,7 +228,7 @@ impl PlantedProfiles {
     }
 
     /// Acquisition stage of a product.
-    pub fn stage(&self, p: ProductId) -> f64 {
+    pub(crate) fn stage(&self, p: ProductId) -> f64 {
         self.stages[p.index()]
     }
 }

@@ -163,10 +163,12 @@ pub enum ModelKind {
 impl ModelKind {
     /// Canonical names, in registry order — the strings [`FromStr`] accepts
     /// and [`fmt::Display`] prints.
-    pub const NAMES: &'static str = "ngram, lda, lstm, chh-exact, chh-streaming, apriori, bpmf";
+    pub(crate) const NAMES: &'static str =
+        "ngram, lda, lstm, chh-exact, chh-streaming, apriori, bpmf";
 
-    /// Every family, in registry order.
-    pub const ALL: [ModelKind; 7] = [
+    /// Every family, in registry order (the tests' oracle for the names).
+    #[cfg(test)]
+    const ALL: [ModelKind; 7] = [
         ModelKind::Ngram,
         ModelKind::Lda,
         ModelKind::Lstm,
@@ -611,7 +613,7 @@ impl TrainPlan {
     }
 
     /// Checkpoint every completed iteration into `store`.
-    pub fn with_store(mut self, store: CheckpointStore) -> Self {
+    pub(crate) fn with_store(mut self, store: CheckpointStore) -> Self {
         self.store = Some(store);
         self
     }
@@ -832,7 +834,7 @@ pub fn fit_lda_resilient(
 /// for the full id range, so in-memory and sharded training see identical
 /// token streams. A shard that cannot be read back intact is a
 /// [`ResilienceError::Corrupt`] naming it.
-pub struct CorpusDocShards<'a, S: CorpusSource + ?Sized> {
+pub(crate) struct CorpusDocShards<'a, S: CorpusSource + ?Sized> {
     source: &'a S,
 }
 

@@ -63,7 +63,7 @@ fn normalize(counts: &[u64]) -> Vec<f64> {
 }
 
 /// Jensen–Shannon divergence between two distributions (nats).
-pub fn jensen_shannon(p: &[f64], q: &[f64]) -> f64 {
+pub(crate) fn jensen_shannon(p: &[f64], q: &[f64]) -> f64 {
     assert_eq!(p.len(), q.len(), "distribution length mismatch");
     let kl = |a: &[f64], b: &[f64]| -> f64 {
         a.iter()

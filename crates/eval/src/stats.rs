@@ -52,7 +52,8 @@ impl MeanCi {
     /// for "statistically significantly different". Empty or non-finite
     /// values are incomparable: the answer is always `false` (explicitly,
     /// not vacuously through NaN comparisons).
-    pub fn significantly_different_from(&self, other: &MeanCi) -> bool {
+    #[cfg(test)]
+    pub(crate) fn significantly_different_from(&self, other: &MeanCi) -> bool {
         if self.is_empty() || other.is_empty() || !self.mean.is_finite() || !other.mean.is_finite()
         {
             return false;

@@ -34,7 +34,7 @@
 pub mod fold_in;
 pub mod gibbs;
 pub mod model;
-pub mod online_vb;
+pub(crate) mod online_vb;
 pub mod perplexity;
 pub mod sharded;
 pub mod vb;
@@ -43,7 +43,7 @@ pub use fold_in::{fold_in, FoldInOptions};
 pub use gibbs::{GibbsTrainer, GIBBS_CHECKPOINT_KIND};
 pub use model::{LdaConfig, LdaModel, SamplerChoice};
 pub use online_vb::{OnlineVbOptions, OnlineVbTrainer, ONLINE_VB_CHECKPOINT_KIND};
-pub use perplexity::{document_completion_perplexity, held_out_log_likelihood};
+pub use perplexity::document_completion_perplexity;
 pub use sharded::{
     DocBatch, DocShardSource, MemDocShards, ShardedGibbsTrainer, SHARDED_GIBBS_CHECKPOINT_KIND,
 };

@@ -129,7 +129,7 @@ impl Default for LdaConfig {
 
 impl LdaConfig {
     /// The effective symmetric alpha.
-    pub fn effective_alpha(&self) -> f64 {
+    pub(crate) fn effective_alpha(&self) -> f64 {
         self.alpha.unwrap_or(1.0 / self.n_topics as f64)
     }
 

@@ -13,7 +13,7 @@ use crate::WeightedDoc;
 /// Splits a document into (observed, held-out) halves by alternating
 /// positions. Documents with fewer than two tokens contribute their token to
 /// the observed half only.
-pub fn completion_split(doc: &[(usize, f64)]) -> (WeightedDoc, WeightedDoc) {
+pub(crate) fn completion_split(doc: &[(usize, f64)]) -> (WeightedDoc, WeightedDoc) {
     let mut observed = Vec::with_capacity(doc.len() / 2 + 1);
     let mut held_out = Vec::with_capacity(doc.len() / 2);
     for (i, &tok) in doc.iter().enumerate() {
@@ -41,7 +41,7 @@ pub fn completion_split(doc: &[(usize, f64)]) -> (WeightedDoc, WeightedDoc) {
 /// Documents are scored independently and the per-document sums are reduced
 /// in document order, so the parallel evaluation (above a small corpus size)
 /// equals the serial one to the last ulp at any thread count.
-pub fn held_out_log_likelihood(model: &LdaModel, docs: &[WeightedDoc]) -> (f64, usize) {
+pub(crate) fn held_out_log_likelihood(model: &LdaModel, docs: &[WeightedDoc]) -> (f64, usize) {
     // Documents per evaluation chunk; fixed so the reduction order is a
     // function of the corpus alone.
     const EVAL_DOC_CHUNK: usize = 32;

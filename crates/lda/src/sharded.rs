@@ -93,7 +93,7 @@ pub struct DocBatch {
 
 impl DocBatch {
     /// Flattens `docs`, in order.
-    pub fn from_docs(docs: &[WeightedDoc]) -> Self {
+    pub(crate) fn from_docs(docs: &[WeightedDoc]) -> Self {
         let mut doc_start = Vec::with_capacity(docs.len() + 1);
         doc_start.push(0);
         let mut tokens = Vec::with_capacity(docs.iter().map(Vec::len).sum());
@@ -148,7 +148,7 @@ impl<'a> MemDocShards<'a> {
 
     /// Splits `docs` into shards of exactly `shard_size` documents (last one
     /// short). `shard_size` must be a positive multiple of 64.
-    pub fn with_shard_size(docs: &'a [WeightedDoc], shard_size: usize) -> Self {
+    pub(crate) fn with_shard_size(docs: &'a [WeightedDoc], shard_size: usize) -> Self {
         assert!(
             shard_size > 0 && shard_size.is_multiple_of(DOC_CHUNK),
             "shard_size must be a positive multiple of {DOC_CHUNK}"

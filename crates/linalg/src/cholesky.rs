@@ -98,7 +98,7 @@ impl Cholesky {
     }
 
     /// The lower-triangular factor `L`.
-    pub fn factor(&self) -> &Matrix {
+    pub(crate) fn factor(&self) -> &Matrix {
         &self.l
     }
 
@@ -117,7 +117,7 @@ impl Cholesky {
     }
 
     /// Solves `L y = b` (forward substitution).
-    pub fn forward_substitute(&self, b: &[f64]) -> Vec<f64> {
+    pub(crate) fn forward_substitute(&self, b: &[f64]) -> Vec<f64> {
         let n = self.dim();
         assert_eq!(b.len(), n, "solve dimension mismatch");
         let mut y = vec![0.0; n];
@@ -164,7 +164,8 @@ impl Cholesky {
 
     /// Applies the factor: returns `L v` (used to color white noise when
     /// sampling from a multivariate normal).
-    pub fn apply_factor(&self, v: &[f64]) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn apply_factor(&self, v: &[f64]) -> Vec<f64> {
         let n = self.dim();
         assert_eq!(v.len(), n, "apply_factor dimension mismatch");
         let mut out = vec![0.0; n];

@@ -38,7 +38,7 @@ pub fn sample_normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f
 ///
 /// # Panics
 /// Panics unless `shape > 0` and `scale > 0`.
-pub fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f64 {
+pub(crate) fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f64 {
     assert!(shape > 0.0, "gamma shape must be positive, got {shape}");
     assert!(scale > 0.0, "gamma scale must be positive, got {scale}");
     if shape < 1.0 {
@@ -119,11 +119,13 @@ pub fn sample_categorical<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usiz
 /// Walker alias table for O(1) categorical sampling, used in the hot Gibbs
 /// and data-generation loops.
 #[derive(Debug, Clone)]
-pub struct AliasTable {
+#[cfg(test)]
+pub(crate) struct AliasTable {
     prob: Vec<f64>,
     alias: Vec<usize>,
 }
 
+#[cfg(test)]
 impl AliasTable {
     /// Builds an alias table from non-negative weights.
     ///
@@ -163,17 +165,6 @@ impl AliasTable {
             prob[i] = 1.0;
         }
         AliasTable { prob, alias }
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// True if the table has no categories (never constructible; kept for API
-    /// completeness).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
     }
 
     /// Draws a category index in O(1).
@@ -228,11 +219,6 @@ impl AliasTableSet {
     /// Categories per table.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Number of tables in the set.
-    pub fn n_tables(&self) -> usize {
-        self.prob.len().checked_div(self.k).unwrap_or(0)
     }
 
     /// (Re)builds table `t` from non-negative `weights`, reusing the set's

@@ -30,8 +30,8 @@
 
 pub mod cholesky;
 pub mod dist;
-pub mod matrix;
-pub mod sparse;
+pub(crate) mod matrix;
+pub(crate) mod sparse;
 pub mod special;
 pub mod svd;
 pub mod vector;

@@ -447,7 +447,8 @@ impl Matrix {
     }
 
     /// Outer product `a * b^T` as an `a.len() x b.len()` matrix.
-    pub fn outer(a: &[f64], b: &[f64]) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn outer(a: &[f64], b: &[f64]) -> Matrix {
         let mut out = Matrix::zeros(a.len(), b.len());
         for (i, &ai) in a.iter().enumerate() {
             if ai == 0.0 {

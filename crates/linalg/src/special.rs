@@ -63,7 +63,7 @@ pub fn digamma(mut x: f64) -> f64 {
 
 /// Error function via the Abramowitz & Stegun 7.1.26 rational approximation,
 /// |error| < 1.5e-7 — sufficient for p-values and CI half-widths.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
@@ -176,7 +176,8 @@ pub fn softmax(xs: &[f64]) -> Vec<f64> {
 ///
 /// # Panics
 /// Panics unless `a > 0` and `x >= 0`.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gamma_p requires a > 0, got {a}");
     assert!(x >= 0.0, "gamma_p requires x >= 0, got {x}");
     if x == 0.0 {
@@ -193,7 +194,7 @@ pub fn gamma_p(a: f64, x: f64) -> f64 {
 ///
 /// # Panics
 /// Panics unless `a > 0` and `x >= 0`.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
+pub(crate) fn gamma_q(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gamma_q requires a > 0, got {a}");
     assert!(x >= 0.0, "gamma_q requires x >= 0, got {x}");
     if x == 0.0 {

@@ -16,7 +16,7 @@ fn sigmoid(x: f64) -> f64 {
 
 /// Per-timestep values the backward pass needs.
 #[derive(Debug, Clone)]
-pub struct CellCache {
+pub(crate) struct CellCache {
     /// Input vector at this step.
     pub x: Vec<f64>,
     /// Previous hidden state.
@@ -31,8 +31,6 @@ pub struct CellCache {
     pub g: Vec<f64>,
     /// Output gate activations.
     pub o: Vec<f64>,
-    /// New cell state.
-    pub c: Vec<f64>,
     /// `tanh(c)`.
     pub tanh_c: Vec<f64>,
 }
@@ -69,11 +67,6 @@ impl LstmCell {
         }
     }
 
-    /// Input dimensionality `E`.
-    pub fn input_size(&self) -> usize {
-        self.input_size
-    }
-
     /// Hidden dimensionality `H`.
     pub fn hidden_size(&self) -> usize {
         self.hidden_size
@@ -88,7 +81,7 @@ impl LstmCell {
     ///
     /// # Panics
     /// Panics on dimension mismatches.
-    pub fn forward(
+    pub(crate) fn forward(
         &self,
         x: &[f64],
         h_prev: &[f64],
@@ -132,7 +125,6 @@ impl LstmCell {
             f,
             g,
             o,
-            c: c.clone(),
             tanh_c,
         };
         (h, c, cache)
@@ -141,7 +133,7 @@ impl LstmCell {
     /// One backward step. `dh` and `dc` are the gradients flowing into this
     /// step's outputs; gradients are accumulated into the cell's parameters
     /// and `(dx, dh_prev, dc_prev)` are returned for the upstream step.
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         cache: &CellCache,
         dh: &[f64],

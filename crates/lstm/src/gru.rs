@@ -27,7 +27,7 @@ fn sigmoid(x: f64) -> f64 {
 
 /// Per-timestep values the backward pass needs.
 #[derive(Debug, Clone)]
-pub struct GruCache {
+pub(crate) struct GruCache {
     /// Input vector.
     pub x: Vec<f64>,
     /// Previous hidden state.
@@ -68,11 +68,6 @@ impl GruCell {
         }
     }
 
-    /// Input dimensionality `E`.
-    pub fn input_size(&self) -> usize {
-        self.input_size
-    }
-
     /// Hidden dimensionality `H`.
     pub fn hidden_size(&self) -> usize {
         self.hidden_size
@@ -88,7 +83,7 @@ impl GruCell {
     ///
     /// # Panics
     /// Panics on dimension mismatches.
-    pub fn forward(&self, x: &[f64], h_prev: &[f64]) -> (Vec<f64>, GruCache) {
+    pub(crate) fn forward(&self, x: &[f64], h_prev: &[f64]) -> (Vec<f64>, GruCache) {
         let h_sz = self.hidden_size;
         assert_eq!(x.len(), self.input_size, "input size mismatch");
         assert_eq!(h_prev.len(), h_sz, "hidden size mismatch");
@@ -125,7 +120,7 @@ impl GruCell {
 
     /// One backward step: accumulates parameter gradients and returns
     /// `(dx, dh_prev)`.
-    pub fn backward(&mut self, cache: &GruCache, dh: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    pub(crate) fn backward(&mut self, cache: &GruCache, dh: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let h_sz = self.hidden_size;
         assert_eq!(dh.len(), h_sz, "dh size mismatch");
 

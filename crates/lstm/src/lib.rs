@@ -28,7 +28,7 @@
 //! ```
 
 pub mod cell;
-pub mod gru;
+pub(crate) mod gru;
 pub mod model;
 pub mod param;
 pub mod trainer;

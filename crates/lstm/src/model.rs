@@ -64,7 +64,7 @@ pub enum RnnLayer {
 
 /// Per-timestep cache, matching the layer's cell family.
 #[derive(Debug, Clone)]
-pub enum RnnCache {
+pub(crate) enum RnnCache {
     /// LSTM cache.
     Lstm(CellCache),
     /// GRU cache.
@@ -88,7 +88,8 @@ impl RnnLayer {
     }
 
     /// The layer as an LSTM cell, if it is one.
-    pub fn as_lstm(&self) -> Option<&LstmCell> {
+    #[cfg(test)]
+    pub(crate) fn as_lstm(&self) -> Option<&LstmCell> {
         match self {
             RnnLayer::Lstm(c) => Some(c),
             RnnLayer::Gru(_) => None,
@@ -96,7 +97,8 @@ impl RnnLayer {
     }
 
     /// The layer as an LSTM cell, mutably.
-    pub fn as_lstm_mut(&mut self) -> Option<&mut LstmCell> {
+    #[cfg(test)]
+    pub(crate) fn as_lstm_mut(&mut self) -> Option<&mut LstmCell> {
         match self {
             RnnLayer::Lstm(c) => Some(c),
             RnnLayer::Gru(_) => None,
@@ -265,13 +267,13 @@ impl LstmLm {
     /// The dropout RNG's raw state, for checkpointing. `dropout_rng` is
     /// `#[serde(skip)]` (deserializing resets it), so resumable training
     /// captures and restores it explicitly alongside the serialized model.
-    pub fn dropout_rng_state(&self) -> [u64; 4] {
+    pub(crate) fn dropout_rng_state(&self) -> [u64; 4] {
         self.dropout_rng.state()
     }
 
     /// Restores the dropout RNG mid-stream (see
     /// [`LstmLm::dropout_rng_state`]).
-    pub fn set_dropout_rng_state(&mut self, state: [u64; 4]) {
+    pub(crate) fn set_dropout_rng_state(&mut self, state: [u64; 4]) {
         self.dropout_rng = StdRng::from_state(state);
     }
 
@@ -288,7 +290,7 @@ impl LstmLm {
     }
 
     /// Mutable references to every parameter, for the optimizer.
-    pub fn parameters_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn parameters_mut(&mut self) -> Vec<&mut Param> {
         let mut out: Vec<&mut Param> = vec![&mut self.embedding];
         for l in &mut self.layers {
             out.extend(l.params_mut());
@@ -303,7 +305,7 @@ impl LstmLm {
     ///
     /// # Panics
     /// Panics if a product index is out of range.
-    pub fn io_tokens(&self, seq: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    pub(crate) fn io_tokens(&self, seq: &[usize]) -> (Vec<usize>, Vec<usize>) {
         for &w in seq {
             assert!(w < self.cfg.vocab_size, "product {w} outside vocabulary");
         }
@@ -357,7 +359,7 @@ impl LstmLm {
     ///
     /// # Panics
     /// Panics if the architectures differ.
-    pub fn accumulate_grads(&mut self, other: &LstmLm) {
+    pub(crate) fn accumulate_grads(&mut self, other: &LstmLm) {
         // Gradient merges are plain sums on large buffers — the minibatch
         // hot path — so they run the unrolled exact f64 axpy, which is
         // element-for-element identical to `Matrix::axpy`.
@@ -384,7 +386,7 @@ impl LstmLm {
     ///
     /// # Panics
     /// Panics if the architectures differ.
-    pub fn sync_params_from(&mut self, other: &LstmLm) {
+    pub(crate) fn sync_params_from(&mut self, other: &LstmLm) {
         fn sync(dst: &mut Param, src: &Param) {
             dst.value.copy_from(&src.value);
             dst.grad.fill(0.0);

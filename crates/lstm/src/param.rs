@@ -30,7 +30,7 @@ impl Param {
 
     /// Xavier/Glorot-uniform initialization: `U(-s, s)` with
     /// `s = sqrt(6 / (fan_in + fan_out))`.
-    pub fn xavier<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) -> Self {
+    pub(crate) fn xavier<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) -> Self {
         let s = (6.0 / (rows + cols) as f64).sqrt();
         let value = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-s..s));
         Param {
@@ -42,7 +42,8 @@ impl Param {
     }
 
     /// Clears the accumulated gradient.
-    pub fn zero_grad(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn zero_grad(&mut self) {
         self.grad.fill(0.0);
     }
 
@@ -112,7 +113,7 @@ impl AdamOptions {
 
 /// Adam optimizer state shared across a parameter set.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Adam {
+pub(crate) struct Adam {
     opts: AdamOptions,
     t: u64,
 }
@@ -127,17 +128,12 @@ impl Adam {
         Adam { opts, t: 0 }
     }
 
-    /// The options in force.
-    pub fn options(&self) -> &AdamOptions {
-        &self.opts
-    }
-
     /// Updates the learning rate (used by decay schedules); moments are
     /// preserved.
     ///
     /// # Panics
     /// Panics if `lr` is not positive.
-    pub fn set_learning_rate(&mut self, lr: f64) {
+    pub(crate) fn set_learning_rate(&mut self, lr: f64) {
         assert!(lr > 0.0, "learning rate must be positive");
         self.opts.learning_rate = lr;
     }

@@ -71,7 +71,7 @@ impl NgramConfig {
     /// # Panics
     /// Panics if explicit weights have the wrong length, contain negatives,
     /// or do not sum to ~1.
-    pub fn effective_lambdas(&self) -> Vec<f64> {
+    pub(crate) fn effective_lambdas(&self) -> Vec<f64> {
         match &self.lambdas {
             Some(l) => {
                 self.validate();
@@ -252,7 +252,7 @@ impl NgramLm {
 
     /// Interpolated probability of the token index `next` after the product
     /// history `history` (token indices; BOS padding applied internally).
-    pub fn token_prob(&self, history: &[usize], next: usize) -> f64 {
+    pub(crate) fn token_prob(&self, history: &[usize], next: usize) -> f64 {
         let m = self.cfg.vocab_size;
         let bos = Token::Bos.index(m);
         // Pad the history with BOS so every order has a full context.

@@ -20,12 +20,11 @@
 //! The recorder composes with `hlm-par`'s determinism guarantee: metrics are
 //! *read-only observers* of the computation — nothing downstream ever
 //! branches on a recorded value — so enabling observability cannot change
-//! model outputs. Parallel hot loops use [`LocalMetrics`]: each fixed chunk
-//! accumulates into its own local table and the caller merges them **in
-//! chunk order** via [`Recorder::absorb`], so counter and bucket totals are
-//! identical at any thread count. (Wall-clock figures — span durations,
-//! per-worker busy time — naturally vary run to run; integer totals do
-//! not.)
+//! model outputs. Parallel hot loops sum their counts per chunk and record
+//! them from the calling thread after the chunks merge in chunk order, so
+//! counter totals are identical at any thread count. (Wall-clock figures —
+//! span durations, per-worker busy time — naturally vary run to run;
+//! integer totals do not.)
 //!
 //! Hot paths obtain the process-wide handle via [`global`]; it is a no-op
 //! until [`install`] replaces it (the CLI does this for `--metrics`).
@@ -53,7 +52,7 @@ pub const BUCKET_BOUNDS: [f64; 13] = [
 /// Counter incremented (instead of recording) when a non-finite value is
 /// handed to [`Recorder::observe`] / [`Recorder::trace`] in release builds;
 /// debug builds panic so the offending call site is found.
-pub const NON_FINITE_DROPPED: &str = "obs.non_finite_dropped";
+pub(crate) const NON_FINITE_DROPPED: &str = "obs.non_finite_dropped";
 
 /// A fixed-bucket histogram: cumulative-free per-bucket counts plus
 /// count/sum/min/max. Bucket `i` holds values `v <= BUCKET_BOUNDS[i]` (and
@@ -107,6 +106,7 @@ impl Histogram {
     /// Merges another histogram into this one. Bucket counts add exactly;
     /// `sum` adds in call order (callers merge in chunk order, pinning the
     /// floating-point accumulation).
+    #[cfg(test)]
     fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;
@@ -280,7 +280,8 @@ impl Recorder {
     /// without touching the shared lock, and the coordinator merges the
     /// locals **in chunk order** with [`Recorder::absorb`]. Mirrors the
     /// recorder's enabled state, so disabled runs pay nothing.
-    pub fn local(&self) -> LocalMetrics {
+    #[cfg(test)]
+    pub(crate) fn local(&self) -> LocalMetrics {
         LocalMetrics {
             enabled: self.is_enabled(),
             counters: BTreeMap::new(),
@@ -290,7 +291,8 @@ impl Recorder {
 
     /// Merges a chunk-local table into the shared store. Call in chunk order
     /// so histogram sums accumulate along one canonical order.
-    pub fn absorb(&self, local: LocalMetrics) {
+    #[cfg(test)]
+    pub(crate) fn absorb(&self, local: LocalMetrics) {
         let Some(inner) = &self.inner else { return };
         if !local.enabled || (local.counters.is_empty() && local.histograms.is_empty()) {
             return;
@@ -383,14 +385,17 @@ impl Drop for Span {
     }
 }
 
-/// A lock-free per-chunk metrics table (see [`Recorder::local`]).
+/// A lock-free per-chunk metrics table (see [`Recorder::local`]). No
+/// parallel loop uses one yet; the tests pin its chunk-order merge.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct LocalMetrics {
+pub(crate) struct LocalMetrics {
     enabled: bool,
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
+#[cfg(test)]
 impl LocalMetrics {
     /// Whether the parent recorder records (skip measurement work when not).
     pub fn is_enabled(&self) -> bool {

@@ -126,7 +126,7 @@ impl Budget {
     /// A budget that always engages the pool (the pre-cost-model
     /// behaviour). Used where the caller knows the work is large or has no
     /// cheap estimate.
-    pub const UNBOUNDED: Budget = Budget { work: u64::MAX };
+    pub(crate) const UNBOUNDED: Budget = Budget { work: u64::MAX };
 
     /// A budget of `work` units (≈ nanoseconds of serial work).
     pub const fn units(work: u64) -> Self {
@@ -360,7 +360,8 @@ fn dispatch(slots: usize, body: &(dyn Fn(usize) + Sync)) {
 /// in flight. The next parallel dispatch lazily respawns workers, so this
 /// is optional housekeeping (at process exit the OS reclaims parked
 /// threads) — useful for tests and for embedders that audit thread leaks.
-pub fn shutdown_pool() {
+#[cfg(test)]
+pub(crate) fn shutdown_pool() {
     let rt = runtime();
     let mut set = rt.set.lock().expect("worker set poisoned");
     set.senders.clear();
@@ -371,7 +372,8 @@ pub fn shutdown_pool() {
 
 /// Number of live background pool workers (diagnostic; used by tests to
 /// assert reuse and clean shutdown).
-pub fn pool_workers() -> usize {
+#[cfg(test)]
+pub(crate) fn pool_workers() -> usize {
     runtime()
         .set
         .lock()
@@ -430,7 +432,7 @@ impl Pool {
     /// [`par_threshold`] (or the call is nested inside a pool worker) the
     /// tasks run serially on the calling thread — same results, no dispatch
     /// overhead.
-    pub fn run_budgeted<R, F>(&self, budget: Budget, n_tasks: usize, f: F) -> Vec<R>
+    pub(crate) fn run_budgeted<R, F>(&self, budget: Budget, n_tasks: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
@@ -517,7 +519,7 @@ where
 }
 
 /// [`par_chunks`] with a cost model (see [`Pool::run_budgeted`]).
-pub fn par_chunks_budgeted<T, R, F>(
+pub(crate) fn par_chunks_budgeted<T, R, F>(
     pool: &Pool,
     budget: Budget,
     items: &[T],
@@ -558,7 +560,7 @@ where
 }
 
 /// [`par_map_reduce`] with a cost model (see [`Pool::run_budgeted`]).
-pub fn par_map_reduce_budgeted<T, R, A, F, G>(
+pub(crate) fn par_map_reduce_budgeted<T, R, A, F, G>(
     pool: &Pool,
     budget: Budget,
     items: &[T],
@@ -604,7 +606,7 @@ where
 /// `init(i)` runs once per **chunk** (it keys RNG streams); for scratch
 /// buffers that should be built once and reused across chunks, see
 /// [`par_for_each_scratch`].
-pub fn par_for_each_init_budgeted<T, S, R, I, F>(
+pub(crate) fn par_for_each_init_budgeted<T, S, R, I, F>(
     pool: &Pool,
     budget: Budget,
     items: &mut [T],

@@ -66,12 +66,13 @@ impl FaultPlan {
     }
 
     /// The NaN injection point, if any.
-    pub fn nan_at(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn nan_at(&self) -> Option<u64> {
         self.nan_at_iteration
     }
 
     /// True if the plan poisons the metric at this iteration.
-    pub fn poisons_metric_at(&self, iteration: u64) -> bool {
+    pub(crate) fn poisons_metric_at(&self, iteration: u64) -> bool {
         self.nan_at_iteration == Some(iteration)
     }
 
@@ -105,7 +106,8 @@ impl<I: CheckpointIo> FaultyIo<I> {
     }
 
     /// How many writes have been attempted so far (including failed ones).
-    pub fn writes_attempted(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn writes_attempted(&self) -> u64 {
         self.writes.load(Ordering::SeqCst)
     }
 }

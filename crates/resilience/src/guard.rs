@@ -78,12 +78,13 @@ impl CancelHandle {
     }
 
     /// Request cancellation; the run stops at its next iteration boundary.
-    pub fn cancel(&self) {
+    #[cfg(test)]
+    pub(crate) fn cancel(&self) {
         self.flag.store(true, Ordering::SeqCst);
     }
 
     /// Has cancellation been requested?
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::SeqCst)
     }
 }
@@ -125,7 +126,8 @@ impl RunGuard {
 
     /// Attach a cancellation flag; `handle.cancel()` stops the run at its
     /// next iteration boundary with [`ResilienceError::Cancelled`].
-    pub fn with_cancel(mut self, handle: CancelHandle) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_cancel(mut self, handle: CancelHandle) -> Self {
         self.cancel = handle;
         self
     }

@@ -30,11 +30,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod checkpoint;
-pub mod control;
+pub(crate) mod control;
 pub mod error;
-pub mod fault;
+pub(crate) mod fault;
 pub mod guard;
-pub mod netfault;
+pub(crate) mod netfault;
 
 pub use checkpoint::{Checkpoint, CheckpointIo, CheckpointSink, CheckpointStore, FsIo, MemIo};
 pub use control::TrainControl;

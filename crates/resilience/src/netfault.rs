@@ -138,17 +138,20 @@ impl<S> FaultyStream<S> {
     }
 
     /// Writes attempted so far (including failed ones).
-    pub fn writes_attempted(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn writes_attempted(&self) -> u64 {
         self.writes
     }
 
     /// Reads attempted so far (including ones answered with injected EOF).
-    pub fn reads_attempted(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn reads_attempted(&self) -> u64 {
         self.reads
     }
 
     /// The wrapped stream (for shutdown/cleanup in tests).
-    pub fn get_ref(&self) -> &S {
+    #[cfg(test)]
+    pub(crate) fn get_ref(&self) -> &S {
         &self.inner
     }
 }

@@ -11,11 +11,11 @@
 use std::io::{self, BufRead, Write};
 
 /// Longest accepted request line or single header line, in bytes.
-pub const MAX_LINE: usize = 8 * 1024;
+pub(crate) const MAX_LINE: usize = 8 * 1024;
 /// Most headers accepted on one request.
-pub const MAX_HEADERS: usize = 64;
+pub(crate) const MAX_HEADERS: usize = 64;
 /// Largest accepted request body, in bytes.
-pub const MAX_BODY: usize = 64 * 1024;
+pub(crate) const MAX_BODY: usize = 64 * 1024;
 
 /// Why a request could not be read. Each variant maps to one wire behaviour.
 #[derive(Debug)]
@@ -235,7 +235,7 @@ impl Response {
     }
 
     /// Attach an extra header.
-    pub fn with_header(mut self, name: &'static str, value: String) -> Response {
+    pub(crate) fn with_header(mut self, name: &'static str, value: String) -> Response {
         self.extra_headers.push((name, value));
         self
     }
@@ -264,7 +264,7 @@ impl Response {
 }
 
 /// Canonical reason phrase for the statuses the server emits.
-pub fn reason_for(status: u16) -> &'static str {
+pub(crate) fn reason_for(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

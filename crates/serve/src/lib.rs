@@ -41,8 +41,7 @@ pub mod queue;
 pub mod replay;
 
 pub use replay::{
-    replay, replay_stream, FitAbort, ReplayAction, ReplayConfig, ReplayOutcome, ReplayRow,
-    RetrainPolicy,
+    replay, FitAbort, ReplayAction, ReplayConfig, ReplayOutcome, ReplayRow, RetrainPolicy,
 };
 
 use std::collections::BTreeMap;

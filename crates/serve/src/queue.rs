@@ -18,7 +18,7 @@ use std::time::Duration;
 
 /// Why [`AdmissionQueue::try_push`] refused a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmitError {
+pub(crate) enum AdmitError {
     /// The queue is at capacity — shed the request (503 + `Retry-After`).
     Full,
     /// The server is draining — no new work is admitted (503, no retry soon).
@@ -32,7 +32,7 @@ struct State<T> {
 
 /// A fixed-capacity MPMC queue: producers never block (they shed), consumers
 /// block with a timeout so they can notice shutdown.
-pub struct AdmissionQueue<T> {
+pub(crate) struct AdmissionQueue<T> {
     capacity: usize,
     state: Mutex<State<T>>,
     ready: Condvar,
@@ -59,7 +59,7 @@ impl<T> AdmissionQueue<T> {
 
     /// Admit a job, or refuse without blocking. On success returns the new
     /// queue depth (for the `serve.queue_depth` gauge).
-    pub fn try_push(&self, item: T) -> Result<usize, AdmitError> {
+    pub(crate) fn try_push(&self, item: T) -> Result<usize, AdmitError> {
         let mut s = self.lock();
         if s.closed {
             return Err(AdmitError::Closed);
@@ -77,7 +77,7 @@ impl<T> AdmissionQueue<T> {
     /// Pop up to `max` jobs, blocking up to `wait` for the first one. Returns
     /// an empty batch on timeout, or when the queue is closed *and* empty —
     /// callers distinguish the two via [`is_closed`](Self::is_closed).
-    pub fn pop_batch(&self, max: usize, wait: Duration) -> Vec<T> {
+    pub(crate) fn pop_batch(&self, max: usize, wait: Duration) -> Vec<T> {
         let mut s = self.lock();
         while s.items.is_empty() && !s.closed {
             let (guard, timeout) = self
@@ -111,7 +111,7 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// True once [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.lock().closed
     }
 }

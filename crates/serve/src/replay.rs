@@ -302,7 +302,7 @@ pub fn replay(cfg: &ReplayConfig) -> Result<ReplayOutcome, EngineError> {
 /// data, bad windows) or a serving-stack failure; a resumable
 /// [`EngineError::Resilience`] interruption when [`ReplayConfig::abort`]
 /// (or a watchdog) kills a fit mid-run.
-pub fn replay_stream(
+pub(crate) fn replay_stream(
     cfg: &ReplayConfig,
     stream: &EventStream,
 ) -> Result<ReplayOutcome, EngineError> {

@@ -7,7 +7,7 @@ use hlm_engine::{LdaEstimator, TrainPlan};
 use hlm_lda::{LdaConfig, LdaModel, WeightedDoc};
 
 /// Default example corpus size (override with `HLM_EXAMPLE_COMPANIES`).
-pub fn corpus_size() -> usize {
+fn corpus_size() -> usize {
     std::env::var("HLM_EXAMPLE_COMPANIES")
         .ok()
         .and_then(|s| s.parse().ok())
