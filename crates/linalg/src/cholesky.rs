@@ -162,8 +162,7 @@ impl Cholesky {
         inv
     }
 
-    /// Applies the factor: returns `L v` (used to color white noise when
-    /// sampling from a multivariate normal).
+    /// Applies the factor: returns `L v`.
     #[cfg(test)]
     pub(crate) fn apply_factor(&self, v: &[f64]) -> Vec<f64> {
         let n = self.dim();

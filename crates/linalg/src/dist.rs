@@ -116,10 +116,10 @@ pub fn sample_categorical<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usiz
     weights.len() - 1
 }
 
-/// Walker alias table for O(1) categorical sampling, used in the hot Gibbs
-/// and data-generation loops.
-#[derive(Debug, Clone)]
+/// Walker alias table for O(1) categorical sampling over one weight vector.
+/// Only the tests build one; the sampler uses [`AliasTableSet`].
 #[cfg(test)]
+#[derive(Debug, Clone)]
 pub(crate) struct AliasTable {
     prob: Vec<f64>,
     alias: Vec<usize>,
@@ -182,10 +182,10 @@ impl AliasTable {
 /// LightLDA-style Gibbs sampler: one table per vocabulary word, each over the
 /// same `k` topics, rebuilt every sweep from the sweep-start count snapshot.
 ///
-/// Compared to a `Vec<AliasTable>` this keeps a single `prob`/`alias`
+/// Compared to one table per word this keeps a single `prob`/`alias`
 /// allocation plus reusable small/large build stacks, so per-sweep rebuild is
-/// allocation-free after the first sweep. Construction is the same Walker
-/// pairing as [`AliasTable::new`]; a table built twice from the same weights
+/// allocation-free after the first sweep. Construction is the classic Walker
+/// pairing; a table built twice from the same weights
 /// is bit-identical (leftover slots are canonicalized to `alias[i] = i`), so
 /// rebuilds are pure functions of the weights — the property the sharded
 /// trainer relies on to match the in-memory trainer bit-for-bit.

@@ -359,7 +359,7 @@ fn dispatch(slots: usize, body: &(dyn Fn(usize) + Sync)) {
 /// joins the parked workers. Must only be called while no parallel call is
 /// in flight. The next parallel dispatch lazily respawns workers, so this
 /// is optional housekeeping (at process exit the OS reclaims parked
-/// threads) — useful for tests and for embedders that audit thread leaks.
+/// threads) — useful for tests that audit thread leaks.
 #[cfg(test)]
 pub(crate) fn shutdown_pool() {
     let rt = runtime();
