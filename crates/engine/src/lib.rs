@@ -47,12 +47,9 @@ use hlm_lstm::{LstmConfig, LstmLm, TrainOptions, Trainer};
 pub use hlm_ngram::NgramConfig;
 use hlm_ngram::NgramLm;
 pub use hlm_par::{effective_threads, par_threshold, set_par_threshold, set_threads};
-pub use hlm_resilience::{
-    CancelHandle, Checkpoint, CheckpointStore, Clock, Fault, FaultPlan, ManualClock,
-    ResilienceError, RunGuard, SystemClock,
-};
+pub use hlm_resilience::{ResilienceError, RunGuard};
 
-use hlm_resilience::TrainControl;
+use hlm_resilience::{CheckpointStore, Clock, FaultPlan, SystemClock, TrainControl};
 use std::any::Any;
 use std::fmt;
 use std::str::FromStr;

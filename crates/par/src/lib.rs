@@ -8,9 +8,10 @@
 //! the serial path. The design contract is **determinism independent of
 //! thread count**:
 //!
-//! * **Fixed chunk assignment** — chunk boundaries are a pure function of
+//! * **Fixed chunk boundaries** — chunk boundaries are a pure function of
 //!   the data size and the chunk size, never of the worker count. The same
-//!   input always produces the same chunks.
+//!   input always produces the same chunks; which slot runs a chunk is
+//!   decided at run time, by whichever slot claims it first.
 //! * **Ordered reduction** — chunk results are merged in chunk order, so
 //!   floating-point accumulation follows one canonical order no matter
 //!   which worker produced which chunk, or in what order they finished.
@@ -232,10 +233,6 @@ struct JobState {
 /// Channel end a background worker receives `(job, slot)` assignments on.
 type JobSender = Sender<(Arc<Job>, usize)>;
 
-/// One worker slot's assigned `(chunk index, chunk)` pairs plus the
-/// per-chunk results it produced, in assignment order.
-type SlotWork<'a, U, R> = Mutex<(Vec<(usize, &'a mut U)>, Vec<(usize, R)>)>;
-
 impl Job {
     /// # Safety
     /// The caller must not return (or otherwise invalidate `body`) until
@@ -437,48 +434,88 @@ impl Pool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if n_tasks == 0 {
-            return Vec::new();
-        }
-        // Task/run counters depend only on the task count, so totals are
-        // identical whichever path executes. Per-worker figures (busy time,
-        // queue depth, pool reuse) are scheduling observations and
-        // naturally vary.
-        let rec = hlm_obs::global();
-        rec.add("par.runs", 1);
-        rec.add("par.tasks", n_tasks as u64);
-        let workers = self.threads.min(n_tasks);
-        if workers <= 1 || in_pool_worker() || !budget.engages(workers) {
-            return (0..n_tasks).map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Vec<(usize, R)>>> =
-            (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-        let rec = &rec;
-        let f = &f;
-        let body = |slot: usize| {
-            let t0 = rec.is_enabled().then(Instant::now);
-            let mut local = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_tasks {
-                    break;
-                }
-                local.push((i, f(i)));
-            }
-            if let Some(t0) = t0 {
-                rec.observe("par.worker_busy_seconds", t0.elapsed().as_secs_f64());
-                rec.observe("par.worker_tasks", local.len() as f64);
-            }
-            *results[slot].lock().expect("slot results poisoned") = local;
-        };
-        dispatch(workers, &body);
-        let per_worker: Vec<Vec<(usize, R)>> = results
-            .into_iter()
-            .map(|m| m.into_inner().expect("slot results poisoned"))
-            .collect();
-        reorder(n_tasks, per_worker)
+        claim_each(self, budget, n_tasks, || (), |_, i| f(i))
     }
+}
+
+/// The one schedule behind every parallel entry point: runs `task(state,
+/// i)` for each `i` in `0..n_tasks` and returns the results **in index
+/// order**. Serially on the calling thread when at most one worker fits,
+/// the call is nested inside a pool worker, or `budget` does not engage
+/// the pool; otherwise each slot claims the next unclaimed index from one
+/// atomic counter until none is left, so a slot that is slowed (an uneven
+/// task, a vCPU taken by another process) never holds back work another
+/// slot could do. `slot_state()` builds a slot's state when it claims its
+/// first index, and the slot reuses it for every later index: at most one
+/// build per slot.
+fn claim_each<S, R>(
+    pool: &Pool,
+    budget: Budget,
+    n_tasks: usize,
+    slot_state: impl Fn() -> S + Sync,
+    task: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R>
+where
+    R: Send,
+{
+    if n_tasks == 0 {
+        return Vec::new();
+    }
+    // Task/run counters depend only on the task count, so totals are
+    // identical whichever path executes. Per-worker figures (busy time,
+    // queue depth, pool reuse) are scheduling observations and naturally
+    // vary.
+    let rec = hlm_obs::global();
+    rec.add("par.runs", 1);
+    rec.add("par.tasks", n_tasks as u64);
+    let workers = pool.threads.min(n_tasks);
+    if workers <= 1 || in_pool_worker() || !budget.engages(workers) {
+        let mut state = slot_state();
+        return (0..n_tasks).map(|i| task(&mut state, i)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let results: Vec<Mutex<Vec<(usize, R)>>> =
+        (0..workers).map(|_| Mutex::new(Vec::new())).collect();
+    let rec = &rec;
+    let body = |slot: usize| {
+        let t0 = rec.is_enabled().then(Instant::now);
+        let mut local = Vec::new();
+        let mut state = None;
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n_tasks {
+                break;
+            }
+            local.push((i, task(state.get_or_insert_with(&slot_state), i)));
+        }
+        if let Some(t0) = t0 {
+            rec.observe("par.worker_busy_seconds", t0.elapsed().as_secs_f64());
+            rec.observe("par.worker_tasks", local.len() as f64);
+        }
+        *results[slot].lock().expect("slot results poisoned") = local;
+    };
+    dispatch(workers, &body);
+    let per_worker: Vec<Vec<(usize, R)>> = results
+        .into_iter()
+        .map(|m| m.into_inner().expect("slot results poisoned"))
+        .collect();
+    reorder(n_tasks, per_worker)
+}
+
+/// Hands each item of `items` out once, by index, to whichever slot
+/// claims it: the claim loop takes every index exactly once, so each
+/// uncontended lock here is taken once.
+fn claimable<T>(items: impl Iterator<Item = T>) -> Vec<Mutex<Option<T>>> {
+    items.map(|item| Mutex::new(Some(item))).collect()
+}
+
+/// Takes item `i` out of [`claimable`] cells.
+fn claim<T>(cells: &[Mutex<Option<T>>], i: usize) -> T {
+    cells[i]
+        .lock()
+        .expect("claim cell poisoned")
+        .take()
+        .expect("every index is claimed once")
 }
 
 /// Places `(index, value)` pairs into index order.
@@ -583,9 +620,9 @@ where
 /// Mutates fixed disjoint chunks of `items` in parallel, giving each chunk
 /// a fresh state built by `init(chunk_index)` — typically an RNG seeded via
 /// [`split_seed3`], or a reusable scratch buffer sized once per slot.
-/// Returns one result per chunk, in chunk order. Chunks are pre-assigned to
-/// slots round-robin; since every chunk's work depends only on its own
-/// contents, index and state, the schedule cannot influence results.
+/// Returns one result per chunk, in chunk order. Slots claim chunks one at
+/// a time as they free up; since every chunk's work depends only on its
+/// own contents, index and state, the schedule cannot influence results.
 pub fn par_for_each_init<T, S, R, I, F>(
     pool: &Pool,
     items: &mut [T],
@@ -620,69 +657,29 @@ where
     I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, usize, &mut [T]) -> R + Sync,
 {
-    let len = items.len();
-    let n = chunk_count(len, chunk);
-    if n == 0 {
-        return Vec::new();
-    }
-    // Same counter discipline as `Pool::run`: totals are a pure function of
-    // the chunk count, identical in the serial and parallel paths.
-    let rec = hlm_obs::global();
-    rec.add("par.runs", 1);
-    rec.add("par.tasks", n as u64);
-    let workers = pool.threads.min(n);
-    if workers <= 1 || in_pool_worker() || !budget.engages(workers) {
-        return items
-            .chunks_mut(chunk.max(1))
-            .enumerate()
-            .map(|(i, c)| {
-                let mut state = init(i);
-                f(&mut state, i, c)
-            })
-            .collect();
-    }
-    let mut assigned: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, c) in items.chunks_mut(chunk.max(1)).enumerate() {
-        assigned[i % workers].push((i, c));
-    }
-    let slots: Vec<SlotWork<'_, [T], R>> = assigned
-        .into_iter()
-        .map(|work| Mutex::new((work, Vec::new())))
-        .collect();
-    let rec = &rec;
-    let init = &init;
-    let f = &f;
-    let body = |slot: usize| {
-        let t0 = rec.is_enabled().then(Instant::now);
-        let mut guard = slots[slot].lock().expect("slot work poisoned");
-        let (work, out) = &mut *guard;
-        let n_assigned = work.len();
-        for (i, c) in std::mem::take(work) {
+    let n = chunk_count(items.len(), chunk);
+    let chunks = claimable(items.chunks_mut(chunk.max(1)));
+    claim_each(
+        pool,
+        budget,
+        n,
+        || (),
+        |_, i| {
             let mut state = init(i);
-            out.push((i, f(&mut state, i, c)));
-        }
-        if let Some(t0) = t0 {
-            rec.observe("par.worker_busy_seconds", t0.elapsed().as_secs_f64());
-            rec.observe("par.worker_tasks", n_assigned as f64);
-        }
-    };
-    dispatch(workers, &body);
-    let per_worker: Vec<Vec<(usize, R)>> = slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("slot work poisoned").1)
-        .collect();
-    reorder(n, per_worker)
+            f(&mut state, i, claim(&chunks, i))
+        },
+    )
 }
 
 /// Processes each element of `items` independently (one element = one work
-/// unit, pre-assigned round-robin), giving every **slot** a single scratch
-/// value built by `init()` that is reused across all the elements the slot
-/// processes — the allocation-free-inner-loop primitive: buffers are sized
-/// once per slot, not once per chunk. Returns one result per element, in
-/// element order.
+/// unit, claimed by whichever slot frees up first), giving every **slot** a
+/// single scratch value built by `init()` that is reused across all the
+/// elements the slot processes — the allocation-free-inner-loop primitive:
+/// buffers are sized at most once per slot, not once per chunk. Returns one
+/// result per element, in element order.
 ///
 /// **Determinism caveat:** which elements share a scratch instance depends
-/// on the schedule width, so `f` must fully overwrite whatever scratch
+/// on the schedule, so `f` must fully overwrite whatever scratch
 /// state it reads — results must be a pure function of `(element index,
 /// element)`, with the scratch acting only as a buffer arena. RNG streams
 /// must be derived inside `f` from the element index (via [`split_seed3`]),
@@ -701,52 +698,10 @@ where
     F: Fn(&mut S, usize, &mut T) -> R + Sync,
 {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let rec = hlm_obs::global();
-    rec.add("par.runs", 1);
-    rec.add("par.tasks", n as u64);
-    let workers = pool.threads.min(n);
-    if workers <= 1 || in_pool_worker() || !budget.engages(workers) {
-        let mut scratch = init();
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, item)| f(&mut scratch, i, item))
-            .collect();
-    }
-    let mut assigned: Vec<Vec<(usize, &mut T)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, item) in items.iter_mut().enumerate() {
-        assigned[i % workers].push((i, item));
-    }
-    let slots: Vec<SlotWork<'_, T, R>> = assigned
-        .into_iter()
-        .map(|work| Mutex::new((work, Vec::new())))
-        .collect();
-    let rec = &rec;
-    let init = &init;
-    let f = &f;
-    let body = |slot: usize| {
-        let t0 = rec.is_enabled().then(Instant::now);
-        let mut guard = slots[slot].lock().expect("slot work poisoned");
-        let (work, out) = &mut *guard;
-        let n_assigned = work.len();
-        let mut scratch = init();
-        for (i, item) in std::mem::take(work) {
-            out.push((i, f(&mut scratch, i, item)));
-        }
-        if let Some(t0) = t0 {
-            rec.observe("par.worker_busy_seconds", t0.elapsed().as_secs_f64());
-            rec.observe("par.worker_tasks", n_assigned as f64);
-        }
-    };
-    dispatch(workers, &body);
-    let per_worker: Vec<Vec<(usize, R)>> = slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("slot work poisoned").1)
-        .collect();
-    reorder(n, per_worker)
+    let cells = claimable(items.iter_mut());
+    claim_each(pool, budget, n, init, |scratch, i| {
+        f(scratch, i, claim(&cells, i))
+    })
 }
 
 /// Derives an independent stream seed from a master seed and a stream
@@ -904,6 +859,83 @@ mod tests {
             assert_eq!(items, (0..23).map(|i| i * 3).collect::<Vec<_>>());
             assert!(inits.load(Ordering::Relaxed) <= workers.min(23));
         }
+    }
+
+    /// Item 0 of every call blocks until each other item has run, the most
+    /// uneven cost there is: the call finishes only if the other slot
+    /// claims every remaining item instead of waiting behind item 0 for a
+    /// share fixed in advance.
+    #[test]
+    fn uneven_items_are_claimed_once_each_and_return_in_order() {
+        use std::sync::mpsc::sync_channel;
+        use std::time::Duration;
+
+        let _g = lock();
+        const N: usize = 41;
+        let wait_for_the_rest = |rx: &Mutex<Receiver<usize>>| {
+            let rx = rx.lock().unwrap();
+            for _ in 1..N {
+                rx.recv_timeout(Duration::from_secs(60))
+                    .expect("the other slot ran the remaining items");
+            }
+        };
+
+        let (tx, rx) = sync_channel(N);
+        let rx = Mutex::new(rx);
+        let runs: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+        let mut items: Vec<u64> = (0..N as u64).collect();
+        let out = par_for_each_init(
+            &Pool::new(2),
+            &mut items,
+            1,
+            |i| split_seed(9, i as u64),
+            |seed, i, chunk| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                if i == 0 {
+                    wait_for_the_rest(&rx);
+                } else {
+                    tx.send(i).unwrap();
+                }
+                chunk[0] = chunk[0].wrapping_mul(*seed);
+                (i, chunk[0])
+            },
+        );
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        let serial: Vec<(usize, u64)> = (0..N)
+            .map(|i| (i, (i as u64).wrapping_mul(split_seed(9, i as u64))))
+            .collect();
+        assert_eq!(out, serial);
+        assert_eq!(items, serial.iter().map(|&(_, v)| v).collect::<Vec<_>>());
+
+        let (tx, rx) = sync_channel(N);
+        let rx = Mutex::new(rx);
+        let runs: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+        let builds = AtomicUsize::new(0);
+        let mut items: Vec<u64> = (0..N as u64).collect();
+        let out = par_for_each_scratch(
+            &Pool::new(2),
+            Budget::UNBOUNDED,
+            &mut items,
+            || {
+                builds.fetch_add(1, Ordering::Relaxed);
+                0u64
+            },
+            |scratch, i, item| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                if i == 0 {
+                    wait_for_the_rest(&rx);
+                } else {
+                    tx.send(i).unwrap();
+                }
+                *scratch = *item * 5;
+                *item = *scratch + 1;
+                *scratch
+            },
+        );
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        assert_eq!(out, (0..N as u64).map(|i| i * 5).collect::<Vec<_>>());
+        assert_eq!(items, (0..N as u64).map(|i| i * 5 + 1).collect::<Vec<_>>());
+        assert!(builds.load(Ordering::Relaxed) <= 2, "one scratch per slot");
     }
 
     #[test]

@@ -10,7 +10,9 @@ use std::fmt;
 /// inside `EngineError` without giving up equality-based test assertions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResilienceError {
-    /// The run's cancellation flag was raised (or an injected abort fired).
+    /// The run was stopped at an iteration boundary: an injected abort
+    /// ([`RunGuard::abort_at_iteration`](crate::RunGuard::abort_at_iteration))
+    /// fired.
     Cancelled {
         /// Iteration boundary at which the cancellation was observed.
         iteration: u64,

@@ -1,8 +1,8 @@
-//! Training watchdog: deadlines, cooperative cancellation, and deterministic
-//! abort points, all checked at iteration boundaries.
+//! Training watchdog: deadlines and deterministic abort points, both
+//! checked at iteration boundaries.
 
 use crate::error::ResilienceError;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -64,39 +64,13 @@ impl Clock for ManualClock {
     }
 }
 
-/// Shared flag for cancelling a run from another thread (or from a signal
-/// handler). Cloning shares the flag.
-#[derive(Clone, Default)]
-pub struct CancelHandle {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelHandle {
-    /// A handle that has not been cancelled.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Request cancellation; the run stops at its next iteration boundary.
-    #[cfg(test)]
-    pub(crate) fn cancel(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-    }
-
-    /// Has cancellation been requested?
-    pub(crate) fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
-}
-
 /// Watchdog consulted at every iteration boundary. Combines a wall-clock
-/// deadline, a cooperative cancellation flag, and a deterministic
-/// abort-at-iteration hook (used by kill/resume tests so "the process died
-/// here" is reproducible without signals or timing).
+/// deadline and a deterministic abort-at-iteration hook (used by kill/resume
+/// tests so "the process died here" is reproducible without signals or
+/// timing).
 pub struct RunGuard {
     clock: Box<dyn Clock>,
     deadline_millis: Option<u64>,
-    cancel: CancelHandle,
     abort_at_iteration: Option<u64>,
 }
 
@@ -106,7 +80,6 @@ impl RunGuard {
         RunGuard {
             clock: Box::new(SystemClock::new()),
             deadline_millis: None,
-            cancel: CancelHandle::new(),
             abort_at_iteration: None,
         }
     }
@@ -124,14 +97,6 @@ impl RunGuard {
         self
     }
 
-    /// Attach a cancellation flag; `handle.cancel()` stops the run at its
-    /// next iteration boundary with [`ResilienceError::Cancelled`].
-    #[cfg(test)]
-    pub(crate) fn with_cancel(mut self, handle: CancelHandle) -> Self {
-        self.cancel = handle;
-        self
-    }
-
     /// Deterministically abort when `check(iteration)` is called with this
     /// iteration, as if the process had been killed there.
     pub fn abort_at_iteration(mut self, iteration: u64) -> Self {
@@ -143,9 +108,6 @@ impl RunGuard {
     /// going; an error names why the run must stop.
     pub fn check(&self, iteration: u64) -> Result<(), ResilienceError> {
         if self.abort_at_iteration == Some(iteration) {
-            return Err(ResilienceError::Cancelled { iteration });
-        }
-        if self.cancel.is_cancelled() {
             return Err(ResilienceError::Cancelled { iteration });
         }
         if let Some(deadline) = self.deadline_millis {
@@ -195,18 +157,6 @@ mod tests {
                 iteration: 2,
                 elapsed_millis: 100
             })
-        );
-    }
-
-    #[test]
-    fn cancel_trips_at_next_boundary() {
-        let handle = CancelHandle::new();
-        let guard = RunGuard::unlimited().with_cancel(handle.clone());
-        assert!(guard.check(0).is_ok());
-        handle.cancel();
-        assert_eq!(
-            guard.check(1),
-            Err(ResilienceError::Cancelled { iteration: 1 })
         );
     }
 

@@ -9,8 +9,8 @@
 //!   falls back past corrupt files to the latest good snapshot
 //!   ([`CheckpointStore`]).
 //! - [`guard`] — a watchdog ([`RunGuard`]) combining wall-clock deadlines
-//!   (injectable [`Clock`]), cooperative cancellation ([`CancelHandle`]), and
-//!   deterministic abort points for kill/resume tests.
+//!   (injectable [`Clock`]) and deterministic abort points for kill/resume
+//!   tests.
 //! - [`control`] — [`TrainControl`], the per-run object trainer loops consult
 //!   at iteration boundaries for watchdog checks, NaN/divergence detection
 //!   and checkpoint emission.
@@ -40,5 +40,5 @@ pub use checkpoint::{Checkpoint, CheckpointIo, CheckpointSink, CheckpointStore, 
 pub use control::TrainControl;
 pub use error::ResilienceError;
 pub use fault::{Fault, FaultPlan, FaultyIo};
-pub use guard::{CancelHandle, Clock, ManualClock, RunGuard, SystemClock};
+pub use guard::{Clock, ManualClock, RunGuard, SystemClock};
 pub use netfault::{FaultyStream, NetFault, NetFaultPlan};
