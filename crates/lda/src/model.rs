@@ -37,6 +37,14 @@ impl SamplerChoice {
     /// alternating fits, in ms a sweep, dense against alias:
     /// K=40 61.1/65.3, K=48 62.1/67.7, K=52 73.9/69.3, K=56 75.7/68.6,
     /// K=64 89.0/69.2.
+    ///
+    /// Re-measured the same way once the dense kernel read word-major
+    /// K-rows (`hlm generate --companies 50000`, default seed):
+    /// K=40 45.0/75.8, K=48 53.5/77.4, K=56 62.7/77.2, K=64 69.6/79.4,
+    /// K=80 87.3/82.5, K=96 97.8/77.0, K=128 128.4/83.4. Dense now leads
+    /// through K = 64 and alias-MH from K = 80, so the cutoff could rise;
+    /// it stays at 48 because moving it changes the `Auto` chain at every
+    /// topic count it passes.
     pub const DENSE_MAX_TOPICS: usize = 48;
 
     /// Resolves `Auto` to a concrete kernel for topic count `k`: the dense
