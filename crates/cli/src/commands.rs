@@ -579,7 +579,10 @@ pub(crate) fn serve_until(
     if flags.topics == 0 {
         return Err(CliError::Usage("--topics must be positive".into()));
     }
-    let corpus = load(data)?;
+    let corpus = {
+        let _span = hlm_obs::global().span("corpus.csv_load");
+        load(data)?
+    };
     let config = serve_lda_config(corpus.vocab().len(), flags.topics, flags.iters);
     let engine = Arc::new(Engine::new(corpus));
     let opts = ServeOptions {

@@ -1,11 +1,15 @@
-//! `hlm serve` over a checkpoint directory whose only `lda-gibbs`
-//! checkpoint is in the all-JSON format used before the resident payload:
-//! the server says why it cannot warm-start in its `cold start (…)` note,
-//! retrains, and leaves a checkpoint the next start can warm from.
+//! `hlm serve` cold starts. Over a checkpoint directory whose only
+//! `lda-gibbs` checkpoint is in the all-JSON format used before the
+//! resident payload, the server says why it cannot warm-start in its
+//! `cold start (…)` note, retrains, and leaves a checkpoint the next start
+//! can warm from. Every start and swap exports one span per phase on
+//! `/metrics`.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::Path;
 use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use hlm_resilience::{Checkpoint, CheckpointStore};
 
@@ -69,5 +73,97 @@ fn cold_start_note_names_the_checkpoint_format_change() {
     let good = store.latest_good("lda-gibbs").unwrap().unwrap();
     assert_eq!(good.iteration, 20);
     assert!(!good.payload.starts_with(b"{"));
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// One `method path` exchange with the server on `port`; returns the whole
+/// response.
+fn fetch(port: u16, method: &str, path: &str) -> String {
+    let mut conn = TcpStream::connect(("127.0.0.1", port)).expect("server accepts");
+    write!(
+        conn,
+        "{method} {path} HTTP/1.1\r\nhost: x\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut buf = String::new();
+    conn.read_to_string(&mut buf).unwrap();
+    buf
+}
+
+/// How many spans with exactly this path a `/metrics` page lists.
+fn spans(metrics: &str, path: &str) -> usize {
+    metrics
+        .lines()
+        .filter(|l| l.starts_with(&format!("hlm_span_duration_ms{{path=\"{path}\",")))
+        .count()
+}
+
+#[test]
+fn cold_start_and_swap_export_a_span_per_phase() {
+    let root = std::env::temp_dir().join(format!("hlm_cli_spans_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (data, ckpts, port_file) = (root.join("data"), root.join("ckpt"), root.join("port"));
+    let generated = hlm(&[
+        "generate",
+        "--out",
+        arg(&data),
+        "--companies",
+        "150",
+        "--seed",
+        "3",
+    ])
+    .stdout(Stdio::null())
+    .status()
+    .unwrap();
+    assert!(generated.success());
+
+    let mut server = hlm(&["serve", "--data", arg(&data), "--port", "0"])
+        .args(["--checkpoint-dir", arg(&ckpts), "--topics", "3"])
+        .args(["--iters", "12", "--port-file", arg(&port_file)])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let port: u16 = loop {
+        if let Some(port) = std::fs::read_to_string(&port_file)
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+        {
+            break port;
+        }
+        assert!(Instant::now() < deadline, "server never came up");
+        std::thread::sleep(Duration::from_millis(25));
+    };
+
+    let cold = fetch(port, "GET", "/metrics");
+    let swap = fetch(port, "POST", "/admin/swap");
+    let swapped = fetch(port, "GET", "/metrics");
+    let _ = server.kill();
+    let _ = server.wait();
+
+    // The cold start: one span per phase, the fit's at its usual root path.
+    for phase in [
+        "corpus.csv_load",
+        "engine.fit_lda_resilient",
+        "core.representations",
+        "core.store_build",
+        "engine.fallback_fit",
+    ] {
+        assert_eq!(spans(&cold, phase), 1, "{phase} in\n{cold}");
+    }
+    assert_eq!(spans(&cold, "serve.swap_canary"), 0);
+    // A swap rebuilds the bundle and canaries it; nothing else reloads.
+    assert!(swap.starts_with("HTTP/1.1 200"), "{swap}");
+    for (phase, n) in [
+        ("corpus.csv_load", 1),
+        ("engine.fit_lda_resilient", 1),
+        ("core.representations", 2),
+        ("core.store_build", 2),
+        ("engine.fallback_fit", 2),
+        ("serve.swap_canary", 1),
+    ] {
+        assert_eq!(spans(&swapped, phase), n, "{phase} in\n{swapped}");
+    }
     std::fs::remove_dir_all(&root).unwrap();
 }

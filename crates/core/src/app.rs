@@ -295,12 +295,10 @@ impl SalesApplication {
                 owners_among_similar: owners[p],
             })
             .collect();
-        out.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("finite scores")
-                .then(a.product.cmp(&b.product))
-        });
+        // Scores are finite (the store refuses non-finite rows) and positive
+        // (each is a positive sum over a positive weight sum), so `total_cmp`
+        // orders them as `partial_cmp` would, and never meets `-0.0`.
+        out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.product.cmp(&b.product)));
         out
     }
 
@@ -378,7 +376,8 @@ impl SalesApplication {
                 )
             })
         };
-        let mut results: Vec<Option<Vec<SimilarCompany>>> = vec![None; queries.len()];
+        // Every query is a hit or a miss, and every miss is scored below.
+        let mut results: Vec<Vec<SimilarCompany>> = vec![Vec::new(); queries.len()];
         let mut misses: Vec<usize> = Vec::new();
         for (i, &q) in queries.iter().enumerate() {
             let hit = match (&self.cache, key_for(q)) {
@@ -386,7 +385,7 @@ impl SalesApplication {
                 _ => None,
             };
             match hit {
-                Some(answer) => results[i] = Some(answer),
+                Some(answer) => results[i] = answer,
                 None => misses.push(i),
             }
         }
@@ -411,12 +410,9 @@ impl SalesApplication {
             if let (Some((cache, _)), Some(key)) = (&self.cache, key_for(queries[i])) {
                 cache.insert(key, answer.clone());
             }
-            results[i] = Some(answer);
+            results[i] = answer;
         }
         results
-            .into_iter()
-            .map(|r| r.expect("every query answered"))
-            .collect()
     }
 
     /// [`SalesApplication::recommend_whitespace`] for a batch of queries —
@@ -576,6 +572,21 @@ mod tests {
         let bad = [CompanyId(0), CompanyId(10_000)];
         assert!(app.find_similar_batch(&bad, 5, &filter).is_err());
         assert!(app.recommend_whitespace_batch(&bad, 5, &filter).is_err());
+    }
+
+    #[test]
+    fn whitespace_scores_are_positive() {
+        // The score order uses `total_cmp`, which would rank -0.0 apart
+        // from +0.0; no score is either.
+        let app = app();
+        for q in app.corpus().ids().take(40) {
+            for r in app
+                .recommend_whitespace(q, 38, &CompanyFilter::default())
+                .unwrap()
+            {
+                assert!(r.score > 0.0, "{q:?}: {r:?}");
+            }
+        }
     }
 
     #[test]

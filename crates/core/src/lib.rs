@@ -67,6 +67,8 @@
 //! assert_eq!(similar.len(), 5);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod app;
 pub mod cache;
 pub mod error;

@@ -53,16 +53,33 @@ pub fn raw_tfidf(corpus: &Corpus, ids: &[CompanyId], tfidf: &TfIdf) -> Matrix {
     tfidf.matrix_for(corpus, ids)
 }
 
+/// Rows of [`lda_representations`] one pool task folds in.
+const FOLD_IN_ROW_CHUNK: usize = 64;
+
 /// LDA topic-mixture representations (`N x K`): each company's fold-in θ
 /// under the trained model, using the same weighted documents the model was
 /// trained on (binary or TF-IDF).
+///
+/// Bit contract: rows are folded in over the `hlm-par` pool in fixed chunks
+/// of [`FOLD_IN_ROW_CHUNK`] rows, each written in place into the output.
+/// Row `i` is [`LdaModel::infer_theta`] of `docs[i]`, a pure function of
+/// the document, so the matrix has the same bits at any thread count.
 pub fn lda_representations(model: &LdaModel, docs: &[WeightedDoc]) -> Matrix {
     let k = model.n_topics();
     let mut out = Matrix::zeros(docs.len(), k);
-    for (i, doc) in docs.iter().enumerate() {
-        let theta = model.infer_theta(doc);
-        out.row_mut(i).copy_from_slice(&theta);
-    }
+    let pool = hlm_par::Pool::global();
+    hlm_par::par_for_each_init(
+        &pool,
+        out.as_mut_slice(),
+        FOLD_IN_ROW_CHUNK * k,
+        |_| (),
+        |_, chunk, rows| {
+            let first = chunk * FOLD_IN_ROW_CHUNK;
+            for (row, doc) in rows.chunks_exact_mut(k).zip(&docs[first..]) {
+                row.copy_from_slice(&model.infer_theta(doc));
+            }
+        },
+    );
     out
 }
 

@@ -32,6 +32,12 @@ impl DistanceMetric {
 /// Max-heap entry ordered by `(distance, row)` — the heap root is the
 /// *worst* of the kept candidates, so one comparison decides whether a new
 /// candidate displaces it.
+///
+/// Distances are ordered with `f64::total_cmp`, which agrees with
+/// `partial_cmp` on every pair of distances the kernels produce: they are
+/// finite (the store refuses non-finite rows) and never `-0.0` (cosine
+/// gives `1.0 - cos` with `cos <= 1.0`, or `1.0`; Euclidean the square
+/// root of a sum of squares), so `-0.0` never meets `+0.0`.
 struct HeapEntry(usize, f64);
 
 impl PartialEq for HeapEntry {
@@ -47,10 +53,7 @@ impl PartialOrd for HeapEntry {
 }
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.1
-            .partial_cmp(&other.1)
-            .expect("finite distances")
-            .then(self.0.cmp(&other.0))
+        self.1.total_cmp(&other.1).then(self.0.cmp(&other.0))
     }
 }
 
@@ -85,9 +88,6 @@ impl TopK {
 
     /// Offers one candidate; kept only if it beats the current worst (or
     /// capacity remains).
-    ///
-    /// # Panics
-    /// Panics if `distance` is NaN.
     #[inline]
     pub fn push(&mut self, index: usize, distance: f64) {
         if self.k == 0 {
@@ -96,7 +96,7 @@ impl TopK {
         let entry = HeapEntry(index, distance);
         if self.heap.len() < self.k {
             self.heap.push(entry);
-        } else if entry < *self.heap.peek().expect("non-empty at capacity") {
+        } else if self.heap.peek().is_some_and(|worst| entry < *worst) {
             self.heap.push(entry);
             self.heap.pop();
         }
@@ -109,11 +109,7 @@ impl TopK {
             .into_iter()
             .map(|HeapEntry(i, d)| (i, d))
             .collect();
-        out.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .expect("finite distances")
-                .then(a.0.cmp(&b.0))
-        });
+        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         out
     }
 }
@@ -124,9 +120,6 @@ impl TopK {
 /// identical (including tie-breaks) to sorting the full candidate list and
 /// truncating to `k`. The reservation is bounded by the iterator's
 /// `size_hint`, never by `k` alone.
-///
-/// # Panics
-/// Panics if a distance is NaN.
 pub(crate) fn bounded_top_k(
     candidates: impl Iterator<Item = (usize, f64)>,
     k: usize,
@@ -320,6 +313,37 @@ mod tests {
             sorted.truncate(k);
             assert_eq!(bounded_top_k(dists.iter().copied(), k), sorted, "k={k}");
         }
+    }
+
+    #[test]
+    fn no_distance_is_negative_zero() {
+        // `total_cmp` ranks -0.0 before +0.0 where `partial_cmp` ties them,
+        // so the comparators rely on neither kernel producing -0.0: zero
+        // rows, identical rows, opposite rows, signed zeros and tiny values.
+        let rows: [&[f64]; 8] = [
+            &[0.0, 0.0, 0.0],
+            &[-0.0, -0.0, -0.0],
+            &[1.0, 2.0, 3.0],
+            &[1.0, 2.0, 3.0],
+            &[-1.0, -2.0, -3.0],
+            &[-0.0, 5e-324, -5e-324],
+            &[0.1, 0.2, 0.3],
+            &[3.0, 2.0, 1.0],
+        ];
+        let m = Matrix::from_rows(&rows);
+        for metric in [DistanceMetric::Cosine, DistanceMetric::Euclidean] {
+            for q in 0..rows.len() {
+                for &(row, d) in &flat_top_k(&m, q, rows.len(), metric) {
+                    assert!(!d.is_sign_negative(), "{metric:?} {q}->{row}: {d:?}");
+                    let scalar = metric.distance(rows[q], rows[row]);
+                    assert_eq!(d.to_bits(), scalar.to_bits());
+                }
+            }
+        }
+        // Identical rows sit at +0.0, tied with each other and ranked by id.
+        let twins = flat_top_k(&m, 2, 1, DistanceMetric::Euclidean);
+        assert_eq!(twins, vec![(3, 0.0)]);
+        assert_eq!(twins[0].1.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

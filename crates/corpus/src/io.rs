@@ -10,11 +10,19 @@
 //!
 //! Fields containing commas or quotes are quoted with doubled inner quotes
 //! (RFC-4180 style); the parser accepts both quoted and bare fields.
+//!
+//! Loading splits each line into fields borrowed from the file's text; only
+//! a quoted field that holds a doubled quote (or text after its closing
+//! quote) is copied. Bit contract: every field, and every error with its
+//! line and message, is what the char-by-char splitter this one replaced
+//! returned (kept in the tests as the oracle), so [`from_csv`] and
+//! [`from_csv_lenient`] build the same corpus or fail the same way.
 
 use crate::company::{Company, InstallEvent, Sic2};
 use crate::corpus::Corpus;
 use crate::time::Month;
 use crate::vocab::Vocabulary;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -43,39 +51,125 @@ fn err(line: usize, message: impl Into<String>) -> CsvError {
     }
 }
 
-/// Splits one CSV line into fields, honouring RFC-4180 quoting.
-fn split_csv_line(line: &str, line_no: usize) -> Result<Vec<String>, CsvError> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        cur.push('"');
-                        chars.next();
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                other => cur.push(other),
+/// The fields of one CSV line, left to right, honouring RFC-4180 quoting.
+///
+/// A field borrows its text from the line. Only a quoted field that holds
+/// a doubled quote, or has text after its closing quote, is copied. A
+/// quote opens a quoted field only as a field's first byte; anywhere else
+/// outside quotes it is an error. Quoting and field separators are ASCII,
+/// so every slice boundary falls on a UTF-8 character boundary. After an
+/// error the iterator ends.
+struct Fields<'a> {
+    line: &'a str,
+    line_no: usize,
+    /// Byte offset where the next field starts; `None` once the last field
+    /// (or an error) has been yielded.
+    next: Option<usize>,
+}
+
+/// Splits `line` into its fields (see [`Fields`]).
+fn fields(line: &str, line_no: usize) -> Fields<'_> {
+    Fields {
+        line,
+        line_no,
+        next: Some(0),
+    }
+}
+
+impl<'a> Fields<'a> {
+    /// Ends the field that runs up to `end` (a comma or the end of the
+    /// line): the next one starts after the comma.
+    fn finish(&mut self, end: usize) {
+        self.next = (end < self.line.len()).then_some(end + 1);
+    }
+
+    fn fail(&mut self, message: &str) -> Option<Result<Cow<'a, str>, CsvError>> {
+        self.next = None;
+        Some(Err(err(self.line_no, message)))
+    }
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = Result<Cow<'a, str>, CsvError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let start = self.next?;
+        let line = self.line;
+        let bytes = line.as_bytes();
+        if bytes.get(start) != Some(&b'"') {
+            let end = find(bytes, start, |b| b == b',' || b == b'"');
+            if end < bytes.len() && bytes[end] == b'"' {
+                return self.fail("unexpected quote inside bare field");
             }
-        } else {
-            match c {
-                '"' if cur.is_empty() => in_quotes = true,
-                '"' => return Err(err(line_no, "unexpected quote inside bare field")),
-                ',' => fields.push(std::mem::take(&mut cur)),
-                other => cur.push(other),
-            }
+            self.finish(end);
+            return Some(Ok(Cow::Borrowed(&line[start..end])));
         }
+        // Quoted: a doubled quote stands for one quote; a lone one closes.
+        let mut undoubled: Option<String> = None;
+        let mut from = start + 1;
+        let close = loop {
+            let q = find(bytes, from, |b| b == b'"');
+            if q == bytes.len() {
+                return self.fail("unterminated quoted field");
+            }
+            if bytes.get(q + 1) != Some(&b'"') {
+                break q;
+            }
+            undoubled
+                .get_or_insert_with(String::new)
+                .push_str(&line[from..=q]);
+            from = q + 2;
+        };
+        // Text after the closing quote joins the field, as long as it holds
+        // no quote of its own.
+        let end = find(bytes, close + 1, |b| b == b',' || b == b'"');
+        if end < bytes.len() && bytes[end] == b'"' {
+            return self.fail("unexpected quote inside bare field");
+        }
+        self.finish(end);
+        let tail = &line[close + 1..end];
+        Some(Ok(match undoubled {
+            None if tail.is_empty() => Cow::Borrowed(&line[from..close]),
+            rest => {
+                let mut s = rest.unwrap_or_default();
+                s.push_str(&line[from..close]);
+                s.push_str(tail);
+                Cow::Owned(s)
+            }
+        }))
     }
-    if in_quotes {
-        return Err(err(line_no, "unterminated quoted field"));
+}
+
+/// The offset of the first byte at or after `from` that `hit` accepts, or
+/// the length of `bytes` when none does.
+fn find(bytes: &[u8], from: usize, hit: impl Fn(u8) -> bool) -> usize {
+    bytes[from..]
+        .iter()
+        .position(|&b| hit(b))
+        .map_or(bytes.len(), |i| from + i)
+}
+
+/// The `N` fields of a `what` row, or the line's first quoting error, or
+/// a count error naming how many fields the line has.
+fn split_exact<'a, const N: usize>(
+    line: &'a str,
+    line_no: usize,
+    what: &str,
+) -> Result<[Cow<'a, str>; N], CsvError> {
+    let mut out: [Cow<'a, str>; N] = std::array::from_fn(|_| Cow::Borrowed(""));
+    let mut n = 0;
+    for field in fields(line, line_no) {
+        if let Some(slot) = out.get_mut(n) {
+            *slot = field?;
+        } else {
+            field?;
+        }
+        n += 1;
     }
-    fields.push(cur);
-    Ok(fields)
+    if n != N {
+        return Err(err(line_no, format!("expected {N} {what} fields, got {n}")));
+    }
+    Ok(out)
 }
 
 /// Quotes a field if needed.
@@ -136,20 +230,19 @@ pub fn to_csv(corpus: &Corpus) -> (String, String) {
 
 /// Parses and validates one company row (already split off the header).
 fn parse_company_row(line: &str, line_no: usize) -> Result<Company, CsvError> {
-    let f = split_csv_line(line, line_no)?;
-    if f.len() != 7 {
-        return Err(err(
-            line_no,
-            format!("expected 7 company fields, got {}", f.len()),
-        ));
-    }
-    let duns: u64 = f[0].parse().map_err(|_| err(line_no, "bad duns"))?;
-    let sic: u8 = f[2].parse().map_err(|_| err(line_no, "bad sic2"))?;
-    let country: u16 = f[3].parse().map_err(|_| err(line_no, "bad country"))?;
-    let mut c = Company::new(duns, f[1].clone(), Sic2(sic), country);
-    c.site_count = f[4].parse().map_err(|_| err(line_no, "bad site_count"))?;
-    c.employees = f[5].parse().map_err(|_| err(line_no, "bad employees"))?;
-    c.revenue_musd = f[6].parse().map_err(|_| err(line_no, "bad revenue"))?;
+    let [duns, name, sic, country, site_count, employees, revenue] =
+        split_exact::<7>(line, line_no, "company")?;
+    let duns: u64 = duns.parse().map_err(|_| err(line_no, "bad duns"))?;
+    let sic: u8 = sic.parse().map_err(|_| err(line_no, "bad sic2"))?;
+    let country: u16 = country.parse().map_err(|_| err(line_no, "bad country"))?;
+    let mut c = Company::new(duns, name, Sic2(sic), country);
+    c.site_count = site_count
+        .parse()
+        .map_err(|_| err(line_no, "bad site_count"))?;
+    c.employees = employees
+        .parse()
+        .map_err(|_| err(line_no, "bad employees"))?;
+    c.revenue_musd = revenue.parse().map_err(|_| err(line_no, "bad revenue"))?;
     Ok(c)
 }
 
@@ -161,26 +254,23 @@ fn parse_event_row(
     vocab: &Vocabulary,
     by_duns: &HashMap<u64, usize>,
 ) -> Result<(usize, InstallEvent), CsvError> {
-    let f = split_csv_line(line, line_no)?;
-    if f.len() != 5 {
-        return Err(err(
-            line_no,
-            format!("expected 5 event fields, got {}", f.len()),
-        ));
-    }
-    let duns: u64 = f[0].parse().map_err(|_| err(line_no, "bad duns"))?;
+    let [duns, product, first_seen, last_seen, confidence] =
+        split_exact::<5>(line, line_no, "event")?;
+    let duns: u64 = duns.parse().map_err(|_| err(line_no, "bad duns"))?;
     let &idx = by_duns
         .get(&duns)
         .ok_or_else(|| err(line_no, format!("event references unknown company {duns}")))?;
     let product = vocab
-        .id(&f[1])
-        .ok_or_else(|| err(line_no, format!("unknown product category {:?}", f[1])))?;
-    let first_seen = parse_month(&f[2], line_no)?;
-    let last_seen = parse_month(&f[3], line_no)?;
+        .id(&product)
+        .ok_or_else(|| err(line_no, format!("unknown product category {product:?}")))?;
+    let first_seen = parse_month(&first_seen, line_no)?;
+    let last_seen = parse_month(&last_seen, line_no)?;
     if last_seen < first_seen {
         return Err(err(line_no, "last_seen precedes first_seen"));
     }
-    let confidence: f32 = f[4].parse().map_err(|_| err(line_no, "bad confidence"))?;
+    let confidence: f32 = confidence
+        .parse()
+        .map_err(|_| err(line_no, "bad confidence"))?;
     if !(0.0..=1.0).contains(&confidence) {
         return Err(err(line_no, "confidence outside [0, 1]"));
     }
@@ -401,6 +491,183 @@ pub fn from_csv_lenient(
 mod tests {
     use super::*;
     use crate::vocab::ProductId;
+    use proptest::prelude::*;
+
+    /// The char-at-a-time splitter [`fields`] replaced, kept as its oracle.
+    fn split_csv_line(line: &str, line_no: usize) -> Result<Vec<String>, CsvError> {
+        let mut fields = Vec::new();
+        let mut cur = String::new();
+        let mut chars = line.chars().peekable();
+        let mut in_quotes = false;
+        while let Some(c) = chars.next() {
+            if in_quotes {
+                match c {
+                    '"' => {
+                        if chars.peek() == Some(&'"') {
+                            cur.push('"');
+                            chars.next();
+                        } else {
+                            in_quotes = false;
+                        }
+                    }
+                    other => cur.push(other),
+                }
+            } else {
+                match c {
+                    '"' if cur.is_empty() => in_quotes = true,
+                    '"' => return Err(err(line_no, "unexpected quote inside bare field")),
+                    ',' => fields.push(std::mem::take(&mut cur)),
+                    other => cur.push(other),
+                }
+            }
+        }
+        if in_quotes {
+            return Err(err(line_no, "unterminated quoted field"));
+        }
+        fields.push(cur);
+        Ok(fields)
+    }
+
+    /// [`fields`] collected the way the oracle returns them.
+    fn split_in_place(line: &str, line_no: usize) -> Result<Vec<String>, CsvError> {
+        fields(line, line_no)
+            .map(|f| f.map(Cow::into_owned))
+            .collect()
+    }
+
+    /// What lines are made of in the oracle sweep: separators, lone and
+    /// doubled quotes, quoted fields, text after a closing quote, blanks
+    /// and multi-byte characters.
+    const PIECES: [&str; 14] = [
+        ",",
+        "\"",
+        "\"\"",
+        "a",
+        "bc",
+        " ",
+        "é",
+        "日本",
+        "7",
+        "\"x,y\"",
+        "\"q\"\"r\"",
+        ",,",
+        "-0.5",
+        "\"\"\"",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn in_place_splitter_matches_the_oracle(
+            picks in prop::collection::vec(0usize..PIECES.len(), 0..24),
+            line_no in 1usize..1000,
+        ) {
+            let line: String = picks.iter().map(|&i| PIECES[i]).collect();
+            prop_assert_eq!(
+                split_in_place(&line, line_no),
+                split_csv_line(&line, line_no),
+                "line {:?}",
+                line
+            );
+        }
+    }
+
+    #[test]
+    fn in_place_splitter_borrows_unless_it_must_undouble() {
+        let line = "a,\"b,c\",\"d\"\"e\",\"f\"g,,日本";
+        let got: Vec<Cow<'_, str>> = fields(line, 1).map(Result::unwrap).collect();
+        assert_eq!(got, ["a", "b,c", "d\"e", "fg", "", "日本"]);
+        let borrowed: Vec<bool> = got.iter().map(|f| matches!(f, Cow::Borrowed(_))).collect();
+        assert_eq!(borrowed, [true, true, false, false, true, true]);
+    }
+
+    /// A corpus whose names and products need every kind of quoting.
+    fn quoting_corpus() -> Corpus {
+        let vocab = Vocabulary::new(["OS", "weird, name", "say \"hi\"", "plain"]);
+        let names = [
+            "Acme, \"North\" Ltd",
+            "plain",
+            "Ünïcødé, 株式会社",
+            "\"",
+            "",
+            "trailing,",
+        ];
+        let companies = names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let mut c = Company::new(100 + i as u64, *name, Sic2(i as u8 * 7), i as u16);
+                c.site_count = 1 + i as u32;
+                c.employees = 10 * i as u32;
+                c.revenue_musd = 0.25 * i as f64;
+                for p in 0..(i % 4 + 1) {
+                    c.add_event(InstallEvent {
+                        product: ProductId(((i + p) % 4) as u16),
+                        first_seen: Month::from_ym(2000 + p as i32, 1 + i as u32),
+                        last_seen: Month::from_ym(2010, 12),
+                        confidence: 0.5,
+                    });
+                }
+                c
+            })
+            .collect();
+        Corpus::new(vocab, companies)
+    }
+
+    /// Both loaders on one input: neither panics, and they agree. A strict
+    /// error is the lenient report's first row, or a structural error the
+    /// lenient loader raises too; a strict success is a lenient one with
+    /// nothing quarantined.
+    fn both_loaders_agree(vocab: &Vocabulary, companies: &str, events: &str) {
+        let strict = from_csv(vocab.clone(), companies, events);
+        let lenient =
+            from_csv_lenient(vocab.clone(), companies, events, &LenientOptions::default());
+        match (&strict, &lenient) {
+            (Ok(s), Ok((l, report))) => {
+                assert!(report.is_empty(), "{report:?}");
+                assert_eq!(s.companies(), l.companies());
+            }
+            (Err(e), Ok((_, report))) => {
+                let first = &report.rows()[0];
+                assert_eq!((first.line, &first.reason), (e.line, &e.message));
+            }
+            (Err(_), Err(_)) => {}
+            (Ok(_), Err(e)) => panic!("lenient load failed where strict passed: {e}"),
+        }
+    }
+
+    #[test]
+    fn every_truncation_or_byte_flip_of_a_csv_pair_loads_or_errs() {
+        let corpus = quoting_corpus();
+        let vocab = corpus.vocab().clone();
+        let (c_csv, e_csv) = to_csv(&corpus);
+        assert_eq!(
+            from_csv(vocab.clone(), &c_csv, &e_csv).unwrap().companies(),
+            corpus.companies()
+        );
+        for (i, _) in c_csv.char_indices() {
+            both_loaders_agree(&vocab, &c_csv[..i], &e_csv);
+        }
+        for (i, _) in e_csv.char_indices() {
+            both_loaders_agree(&vocab, &c_csv, &e_csv[..i]);
+        }
+        let flipped = |text: &str, at: usize, bit: u8| {
+            let mut bytes = text.as_bytes().to_vec();
+            bytes[at] ^= 1 << bit;
+            String::from_utf8_lossy(&bytes).into_owned()
+        };
+        for at in 0..c_csv.len() {
+            for bit in 0..8 {
+                both_loaders_agree(&vocab, &flipped(&c_csv, at, bit), &e_csv);
+            }
+        }
+        for at in 0..e_csv.len() {
+            for bit in 0..8 {
+                both_loaders_agree(&vocab, &c_csv, &flipped(&e_csv, at, bit));
+            }
+        }
+    }
 
     fn sample_corpus() -> Corpus {
         let vocab = Vocabulary::new(["OS", "weird, name", "plain"]);
@@ -496,13 +763,15 @@ mod tests {
 
     #[test]
     fn quoting_edge_cases_parse() {
-        assert_eq!(
-            split_csv_line("a,\"b,c\",\"d\"\"e\"", 1).unwrap(),
-            vec!["a", "b,c", "d\"e"]
-        );
-        assert_eq!(split_csv_line("", 1).unwrap(), vec![""]);
-        assert!(split_csv_line("\"open", 1).is_err());
-        assert!(split_csv_line("ab\"cd", 1).is_err());
+        for split in [split_csv_line, split_in_place] {
+            assert_eq!(
+                split("a,\"b,c\",\"d\"\"e\"", 1).unwrap(),
+                vec!["a", "b,c", "d\"e"]
+            );
+            assert_eq!(split("", 1).unwrap(), vec![""]);
+            assert!(split("\"open", 1).is_err());
+            assert!(split("ab\"cd", 1).is_err());
+        }
     }
 
     #[test]

@@ -244,6 +244,12 @@ impl LdaModel {
     /// Words with `index >= vocab_size()` — products launched after this
     /// model was trained — are skipped, so a pre-growth model can still score
     /// companies from a corpus whose vocabulary grew mid-stream.
+    ///
+    /// Bit contract: θ is a pure function of `(self, doc)`. The call
+    /// allocates `theta`, `new_theta` and `resp` once and swaps the two θ
+    /// buffers between iterations; every iteration runs the same floating
+    /// point operations in the same order, so θ's bits do not depend on
+    /// where or how often it is computed.
     pub fn infer_theta(&self, doc: &[(usize, f64)]) -> Vec<f64> {
         let k = self.n_topics();
         let mut theta = vec![1.0 / k as f64; k];
@@ -251,8 +257,9 @@ impl LdaModel {
             return theta;
         }
         let mut resp = vec![0.0; k];
+        let mut new_theta = vec![0.0; k];
         for _ in 0..50 {
-            let mut new_theta = vec![self.alpha; k];
+            new_theta.fill(self.alpha);
             for &(w, weight) in doc {
                 if w >= self.vocab_size() {
                     continue; // product unknown to this model's vocabulary
@@ -276,7 +283,7 @@ impl LdaModel {
                 .zip(&new_theta)
                 .map(|(a, b)| (a - b).abs())
                 .sum();
-            theta = new_theta;
+            std::mem::swap(&mut theta, &mut new_theta);
             if delta < 1e-10 {
                 break;
             }

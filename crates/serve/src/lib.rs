@@ -132,6 +132,10 @@ pub type BundleLoader = Box<dyn Fn() -> Result<ModelBundle, String> + Send + Syn
 /// Build a bundle from an in-memory LDA model. Invalidates the engine's
 /// serving cache first so the bundle's captured generation is fresh and no
 /// ranking memoized under the previous model can leak through.
+///
+/// Records one root span per phase: `core.representations`,
+/// `core.store_build` and `engine.fallback_fit`. A bundle is built once at
+/// start and once per swap, so the recorder's span list stays bounded.
 pub fn bundle_from_model(
     engine: &Engine,
     model: LdaModel,
@@ -139,14 +143,23 @@ pub fn bundle_from_model(
     metric: DistanceMetric,
     opts: ServeOptions,
 ) -> Result<ModelBundle, String> {
+    let rec = hlm_obs::global();
     let ids: Vec<CompanyId> = engine.corpus().ids().collect();
     let docs = hlm_core::representations::binary_docs(engine.corpus(), &ids);
-    let reprs = hlm_core::representations::lda_representations(&model, &docs);
+    let reprs = {
+        let _span = rec.span("core.representations");
+        hlm_core::representations::lda_representations(&model, &docs)
+    };
     engine.serving_cache().invalidate();
-    let app = engine
-        .sales_app(reprs, metric)
-        .map_err(|e| format!("sales app: {e}"))?;
-    let resilient = engine.resilient_over(lda_trained(model), opts);
+    let app = {
+        let _span = rec.span("core.store_build");
+        engine.sales_app(reprs, metric)
+    }
+    .map_err(|e| format!("sales app: {e}"))?;
+    let resilient = {
+        let _span = rec.span("engine.fallback_fit");
+        engine.resilient_over(lda_trained(model), opts)
+    };
     let label = resilient.primary().label().to_string();
     Ok(ModelBundle {
         app,
@@ -881,7 +894,11 @@ fn do_swap(shared: &Shared) -> Response {
             return Response::json(500, err_body(&format!("swap load failed: {e}")));
         }
     };
-    match canary_probe(&candidate) {
+    let canary = {
+        let _span = hlm_obs::global().span("serve.swap_canary");
+        canary_probe(&candidate)
+    };
+    match canary {
         Err(why) => {
             hlm_obs::global().add(names::SERVE_ROLLBACK, 1);
             let serving = read_bundle(shared);

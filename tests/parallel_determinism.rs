@@ -79,6 +79,25 @@ fn parallel_hot_paths_are_bit_identical_across_thread_counts() {
         (phi, ppl)
     });
 
+    // Representations: fold-in θ per company over fixed row chunks, 250
+    // companies spanning several chunks.
+    let (model, _) = quick_lda(&corpus, &split.train, 3);
+    let ids: Vec<_> = corpus.ids().collect();
+    let all_docs = hlm_core::representations::binary_docs(&corpus, &ids);
+    let reps = invariant_across_thread_counts("lda representations", || {
+        hlm_core::representations::lda_representations(&model, &all_docs)
+            .as_slice()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<_>>()
+    });
+    let row_by_row: Vec<u64> = all_docs
+        .iter()
+        .flat_map(|doc| model.infer_theta(doc))
+        .map(f64::to_bits)
+        .collect();
+    assert_eq!(reps, row_by_row, "representations are per-row fold-ins");
+
     // Alias-MH kernel (LightLDA-style O(1) proposals): the MH accept/reject
     // uniforms live inside the same per-chunk RNG streams, so the exact
     // invariance must hold for it too — and the sharded trainer, which
