@@ -67,6 +67,11 @@ const DENSE_K3: u64 = 0x6e43a62a527a08ad;
 const DENSE_K24: u64 = 0x9a02b9545608a226;
 /// Alias-MH kernel forced at K=64.
 const ALIAS_K64: u64 = 0x7bf9b6619d7cf502;
+/// Dense K=2 over unit weights, recorded before the small-K pair kernel.
+const DENSE_K2: u64 = 0x7cf6f5d0133bf172;
+/// Dense K=4 over fractional token weights, recorded before the small-K
+/// pair kernel.
+const DENSE_K4: u64 = 0x035d74eb81b76c62;
 
 fn dense_alpha_cfg(vocab: usize) -> LdaConfig {
     LdaConfig {
@@ -92,6 +97,36 @@ fn dense_k24_with_fractional_weights_is_pinned() {
     };
     let model = GibbsTrainer::new(c).fit(&fractional(&docs));
     assert_eq!(fingerprint(&model), DENSE_K24);
+}
+
+/// `cfg` fitted in memory and by the sharded trainer over three shards;
+/// both must give the same model.
+fn fit_in_memory_and_three_shards(cfg: LdaConfig, docs: &[WeightedDoc], tag: &str) -> LdaModel {
+    let dir = std::env::temp_dir().join(format!("hlm_gibbs_fp_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sharded = ShardedGibbsTrainer::new(cfg.clone(), &dir).fit(&MemDocShards::new(docs, 3));
+    std::fs::remove_dir_all(&dir).unwrap();
+    let model = GibbsTrainer::new(cfg).fit(docs);
+    assert_eq!(
+        fingerprint(&sharded),
+        fingerprint(&model),
+        "{tag}: 3 shards"
+    );
+    model
+}
+
+#[test]
+fn dense_k2_is_pinned() {
+    let (docs, vocab) = corpus_docs();
+    let model = fit_in_memory_and_three_shards(cfg(2, vocab, 41), &docs, "k2");
+    assert_eq!(fingerprint(&model), DENSE_K2);
+}
+
+#[test]
+fn dense_k4_with_fractional_weights_is_pinned() {
+    let (docs, vocab) = corpus_docs();
+    let model = fit_in_memory_and_three_shards(cfg(4, vocab, 43), &fractional(&docs), "k4");
+    assert_eq!(fingerprint(&model), DENSE_K4);
 }
 
 #[test]
