@@ -49,8 +49,8 @@
 
 use crate::gibbs::{
     accumulate_phi_row, build_views, delta_stride, gibbs_log_likelihood, merge_chunk_delta,
-    minka_alpha_accumulate, minka_alpha_finish, sampler_counter, sweep_budget, sweep_chunk,
-    SweepCtx, SweepScratch, WordAliasTables, DOC_CHUNK, GIBBS_CHECKPOINT_KIND,
+    minka_alpha_accumulate, minka_alpha_finish, sampler_counter, sweep_chunks, SweepCtx,
+    WordAliasTables, DOC_CHUNK, GIBBS_CHECKPOINT_KIND,
 };
 use crate::model::{LdaConfig, LdaModel, SamplerChoice};
 use crate::WeightedDoc;
@@ -1041,13 +1041,7 @@ fn drive<S: DocShardSource + ?Sized>(
             k,
             stride,
         );
-        hlm_par::par_for_each_scratch(
-            &pool,
-            sweep_budget(shard.tok_word.len(), k, kind),
-            &mut views,
-            || SweepScratch::new(k, m, kind),
-            |scratch, c, view| sweep_chunk(scratch, &ctx, c, view),
-        );
+        sweep_chunks(&pool, &ctx, &mut views);
         shard.rows_uncounted = false;
         for view in &views {
             sweep_mh_proposed += view.mh_proposed;

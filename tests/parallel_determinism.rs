@@ -168,6 +168,41 @@ fn parallel_hot_paths_are_bit_identical_across_thread_counts() {
     );
     std::fs::remove_dir_all(&dir).ok();
 
+    // Dense K = 3, the fused pair kernel's case: five chunks, so two pairs
+    // and an unpaired last chunk, over unit weights in memory and over
+    // fractional weights in three shards.
+    let pair_docs: Vec<_> = all_docs
+        .iter()
+        .chain(&all_docs)
+        .take(5 * 64 - 20)
+        .cloned()
+        .collect();
+    let fractional_docs: Vec<_> = pair_docs
+        .iter()
+        .enumerate()
+        .map(|(d, doc)| {
+            doc.iter()
+                .enumerate()
+                .map(|(j, &(w, _))| (w, 0.25 + ((d * 7 + j * 3) % 11) as f64 / 10.0))
+                .collect()
+        })
+        .collect();
+    let pair_cfg = LdaConfig {
+        sampler: SamplerChoice::Dense,
+        ..hlm_tests::quick_lda_config(3, corpus.vocab().len())
+    };
+    let pair_dir = std::env::temp_dir().join(format!("hlm_par_det_pairs_{}", std::process::id()));
+    invariant_across_thread_counts("lda dense K = 3 pairs", || {
+        let bits = |m: hlm_lda::LdaModel| -> Vec<u64> {
+            m.phi().as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        let resident = GibbsTrainer::new(pair_cfg.clone()).fit(&pair_docs);
+        let sharded = ShardedGibbsTrainer::new(pair_cfg.clone(), &pair_dir)
+            .fit(&MemDocShards::new(&fractional_docs, 3));
+        (bits(resident), bits(sharded))
+    });
+    std::fs::remove_dir_all(&pair_dir).ok();
+
     // BPMF conditional draws (per-row chunk RNG streams).
     let ratings: Vec<Rating> = corpus
         .companies()
