@@ -128,14 +128,31 @@ impl NgramConfig {
     }
 }
 
+/// One context's next-token counts and their total. The total is summed
+/// once, over the map it totals, when the table is built or read back.
+#[derive(Debug, Clone)]
+struct Nexts {
+    counts: HashMap<usize, f64>,
+    total: f64,
+}
+
+impl Nexts {
+    fn new(counts: HashMap<usize, f64>) -> Self {
+        let total = counts.values().sum();
+        Nexts { counts, total }
+    }
+}
+
 /// Serde representation for context tables: JSON object keys must be
 /// strings, so `Vec<usize>`-keyed maps are (de)serialized as sorted pair
-/// lists.
+/// lists of each context and its counts. Totals are not stored; reading a
+/// table back sums them again.
 mod tables_serde {
+    use super::Nexts;
     use serde::{Deserialize, Deserializer, Serialize, Serializer};
     use std::collections::HashMap;
 
-    type Tables = Vec<HashMap<Vec<usize>, HashMap<usize, f64>>>;
+    type Tables = Vec<HashMap<Vec<usize>, Nexts>>;
     type TableEntries<'a> = Vec<Vec<(&'a Vec<usize>, &'a HashMap<usize, f64>)>>;
     type OwnedTableEntries = Vec<Vec<(Vec<usize>, HashMap<usize, f64>)>>;
 
@@ -143,7 +160,7 @@ mod tables_serde {
         let as_pairs: TableEntries<'_> = tables
             .iter()
             .map(|t| {
-                let mut entries: Vec<_> = t.iter().collect();
+                let mut entries: Vec<_> = t.iter().map(|(ctx, n)| (ctx, &n.counts)).collect();
                 entries.sort_by(|a, b| a.0.cmp(b.0));
                 entries
             })
@@ -155,7 +172,11 @@ mod tables_serde {
         let as_pairs: OwnedTableEntries = Vec::deserialize(d)?;
         Ok(as_pairs
             .into_iter()
-            .map(|t| t.into_iter().collect())
+            .map(|t| {
+                t.into_iter()
+                    .map(|(ctx, counts)| (ctx, Nexts::new(counts)))
+                    .collect()
+            })
             .collect())
     }
 }
@@ -169,7 +190,7 @@ pub struct NgramLm {
     /// totals per context. Contexts are token-index vectors of length
     /// `o − 1` (empty for unigrams).
     #[serde(with = "tables_serde")]
-    ngram_counts: Vec<HashMap<Vec<usize>, HashMap<usize, f64>>>,
+    ngram_counts: Vec<HashMap<Vec<usize>, Nexts>>,
     /// Total training tokens (diagnostic).
     total_tokens: usize,
 }
@@ -224,7 +245,7 @@ impl CountRows {
     }
 
     /// The counts as each context's map of its non-zero cells.
-    fn into_table(self) -> HashMap<Vec<usize>, HashMap<usize, f64>> {
+    fn into_table(self) -> HashMap<Vec<usize>, Nexts> {
         let cells = self.cells;
         let width = self.width;
         self.row_of
@@ -236,7 +257,7 @@ impl CountRows {
                     .filter(|&(_, &c)| c != 0.0)
                     .map(|(next, &c)| (next, c))
                     .collect();
-                (ctx, nexts)
+                (ctx, Nexts::new(nexts))
             })
             .collect()
     }
@@ -302,42 +323,59 @@ impl NgramLm {
         self.cfg.vocab_size + 2
     }
 
-    /// Add-k probability of `next` under order `o` given `ctx` (the last
-    /// `o − 1` tokens).
-    fn order_prob(&self, o: usize, ctx: &[usize], next: usize) -> f64 {
-        let k = self.cfg.add_k;
-        let v = self.n_tokens() as f64;
-        match self.ngram_counts[o - 1].get(ctx) {
-            Some(nexts) => {
-                let total: f64 = nexts.values().sum();
-                let c = nexts.get(&next).copied().unwrap_or(0.0);
-                (c + k) / (total + k * v)
-            }
-            None => 1.0 / v,
-        }
-    }
-
-    /// Interpolated probability of the token index `next` after the product
-    /// history `history` (token indices; BOS padding applied internally).
-    pub(crate) fn token_prob(&self, history: &[usize], next: usize) -> f64 {
-        let m = self.cfg.vocab_size;
-        let bos = Token::Bos.index(m);
-        // Pad the history with BOS so every order has a full context.
+    /// `history` with `order − 1` BOS markers in front, so every order has
+    /// a full context.
+    fn padded(&self, history: &[usize]) -> Vec<usize> {
+        let bos = Token::Bos.index(self.cfg.vocab_size);
         let mut padded: Vec<usize> =
             std::iter::repeat_n(bos, self.cfg.order.saturating_sub(1)).collect();
         padded.extend(history.iter().copied());
+        padded
+    }
+
+    /// Each order's weight and its context's counts (`None` for a context
+    /// never seen) after the padded history `padded`.
+    fn contexts<'a>(&'a self, padded: &[usize]) -> Vec<(f64, Option<&'a Nexts>)> {
+        (1..=self.cfg.order)
+            .zip(&self.lambdas)
+            .map(|(o, &lam)| {
+                (
+                    lam,
+                    self.ngram_counts[o - 1].get(&padded[padded.len() + 1 - o..]),
+                )
+            })
+            .collect()
+    }
+
+    /// Interpolated probability of the token index `next` in `contexts`.
+    fn interpolated(&self, contexts: &[(f64, Option<&Nexts>)], next: usize) -> f64 {
+        let k = self.cfg.add_k;
+        let v = self.n_tokens() as f64;
         let mut p = 0.0;
-        for (o, &lam) in (1..=self.cfg.order).zip(&self.lambdas) {
-            let ctx = &padded[padded.len() + 1 - o..];
-            p += lam * self.order_prob(o, ctx, next);
+        for &(lam, nexts) in contexts {
+            // The order's add-k probability.
+            let q = match nexts {
+                Some(n) => (n.counts.get(&next).copied().unwrap_or(0.0) + k) / (n.total + k * v),
+                None => 1.0 / v,
+            };
+            p += lam * q;
         }
         p
     }
 
-    /// Full next-token distribution given a product history.
+    /// Interpolated probability of the token index `next` after the product
+    /// history `history` (token indices; BOS padding applied internally).
+    #[cfg(test)]
+    fn token_prob(&self, history: &[usize], next: usize) -> f64 {
+        self.interpolated(&self.contexts(&self.padded(history)), next)
+    }
+
+    /// Full next-token distribution given a product history: the history
+    /// is padded and each order's context looked up once.
     pub fn predict_next_tokens(&self, history: &[usize]) -> Vec<f64> {
+        let contexts = self.contexts(&self.padded(history));
         (0..self.n_tokens())
-            .map(|w| self.token_prob(history, w))
+            .map(|w| self.interpolated(&contexts, w))
             .collect()
     }
 
@@ -358,15 +396,25 @@ impl NgramLm {
     pub fn sequence_log_likelihood(&self, seq: &[usize], include_eos: bool) -> (f64, usize) {
         let m = self.cfg.vocab_size;
         let eos = Token::Eos.index(m);
+        // Padded once: the padded history of `seq[..i]` is its first
+        // `order − 1 + i` tokens.
+        let padded = self.padded(seq);
+        let pad = padded.len() - seq.len();
+        let prob = |i: usize, next: usize| {
+            let contexts = self.contexts(&padded[..pad + i]);
+            self.interpolated(&contexts, next)
+                .max(f64::MIN_POSITIVE)
+                .ln()
+        };
         let mut ll = 0.0;
         let mut n = 0usize;
         for (i, &w) in seq.iter().enumerate() {
             assert!(w < m, "product {w} outside vocabulary");
-            ll += self.token_prob(&seq[..i], w).max(f64::MIN_POSITIVE).ln();
+            ll += prob(i, w);
             n += 1;
         }
         if include_eos {
-            ll += self.token_prob(seq, eos).max(f64::MIN_POSITIVE).ln();
+            ll += prob(seq.len(), eos);
             n += 1;
         }
         (ll, n)
@@ -446,6 +494,82 @@ mod tests {
         ngram_counts
     }
 
+    /// The per-token probability [`NgramLm::predict_next_tokens`] and
+    /// [`NgramLm::sequence_log_likelihood`] replaced, kept as their oracle:
+    /// every call pads the history again and sums its context's counts
+    /// again.
+    fn token_prob_per_call(lm: &NgramLm, history: &[usize], next: usize) -> f64 {
+        let order_prob = |o: usize, ctx: &[usize]| {
+            let k = lm.cfg.add_k;
+            let v = lm.n_tokens() as f64;
+            match lm.ngram_counts[o - 1].get(ctx) {
+                Some(nexts) => {
+                    let total: f64 = nexts.counts.values().sum();
+                    let c = nexts.counts.get(&next).copied().unwrap_or(0.0);
+                    (c + k) / (total + k * v)
+                }
+                None => 1.0 / v,
+            }
+        };
+        let bos = Token::Bos.index(lm.cfg.vocab_size);
+        let mut padded: Vec<usize> =
+            std::iter::repeat_n(bos, lm.cfg.order.saturating_sub(1)).collect();
+        padded.extend(history.iter().copied());
+        let mut p = 0.0;
+        for (o, &lam) in (1..=lm.cfg.order).zip(&lm.lambdas) {
+            let ctx = &padded[padded.len() + 1 - o..];
+            p += lam * order_prob(o, ctx);
+        }
+        p
+    }
+
+    #[test]
+    fn predictions_keep_the_per_call_bits() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let many = markov_sequences(200, 21, 0.7);
+        // A sparse fit leaves most contexts unseen.
+        let few = vec![vec![0usize, 1, 2], vec![2, 2]];
+        for cfg in [
+            NgramConfig::unigram(4),
+            NgramConfig::bigram(4),
+            NgramConfig::trigram(4),
+        ] {
+            for seqs in [&many, &few] {
+                let lm = NgramLm::fit(cfg.clone(), seqs);
+                let histories = [
+                    vec![],
+                    vec![0],
+                    vec![3, 3],
+                    vec![1, 2, 3, 0, 1],
+                    vec![2, 0, 2],
+                ];
+                for history in &histories {
+                    let want: Vec<f64> = (0..lm.n_tokens())
+                        .map(|w| token_prob_per_call(&lm, history, w))
+                        .collect();
+                    assert_eq!(bits(&lm.predict_next_tokens(history)), bits(&want));
+                }
+                for seq in many.iter().take(20).chain(&histories) {
+                    let mut want = 0.0;
+                    for (i, &w) in seq.iter().enumerate() {
+                        want += token_prob_per_call(&lm, &seq[..i], w)
+                            .max(f64::MIN_POSITIVE)
+                            .ln();
+                    }
+                    let eos = Token::Eos.index(4);
+                    let with_eos = want
+                        + token_prob_per_call(&lm, seq, eos)
+                            .max(f64::MIN_POSITIVE)
+                            .ln();
+                    let (got, _) = lm.sequence_log_likelihood(seq, false);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{seq:?}");
+                    let (got, _) = lm.sequence_log_likelihood(seq, true);
+                    assert_eq!(got.to_bits(), with_eos.to_bits(), "{seq:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn dense_rows_count_what_the_entry_loop_counts() {
         let mut seqs = markov_sequences(300, 9, 0.6);
@@ -458,7 +582,16 @@ mod tests {
             NgramConfig::trigram(6),
         ] {
             let lm = NgramLm::fit(cfg.clone(), &seqs);
-            assert_eq!(lm.ngram_counts, counts_entry_by_entry(&cfg, &seqs));
+            let counts: Vec<HashMap<Vec<usize>, HashMap<usize, f64>>> = lm
+                .ngram_counts
+                .iter()
+                .map(|t| {
+                    t.iter()
+                        .map(|(ctx, n)| (ctx.clone(), n.counts.clone()))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(counts, counts_entry_by_entry(&cfg, &seqs));
         }
     }
 
