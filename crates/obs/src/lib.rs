@@ -498,6 +498,9 @@ pub mod names {
     /// Counter: admitted requests dropped with 504 because their deadline
     /// expired before (or while) a worker could answer them.
     pub const SERVE_DEADLINE_EXCEEDED: &str = "serve.deadline_exceeded";
+    /// Counter: batches whose answering panicked. The batch worker catches
+    /// the panic and keeps serving; the batch's callers get 500.
+    pub const SERVE_WORKER_PANICS: &str = "serve.worker_panics";
     /// Counter: successful hot model swaps (candidate passed its canary).
     pub const SERVE_HOT_SWAP: &str = "serve.hot_swap";
     /// Counter: rejected hot-swap candidates — the canary probe failed and

@@ -718,7 +718,14 @@ fn worker_loop(shared: &Shared) {
         }
         hlm_obs::global().set_gauge(names::SERVE_QUEUE_DEPTH, shared.queue.len() as f64);
         let bundle = read_bundle(shared);
-        process_batch(&bundle, batch);
+        // A panic while answering drops the batch's jobs, so each caller's
+        // wait ends at once in a 500; the worker counts it and serves on.
+        let answered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            process_batch(&bundle, batch)
+        }));
+        if answered.is_err() {
+            hlm_obs::global().add(names::SERVE_WORKER_PANICS, 1);
+        }
     }
 }
 

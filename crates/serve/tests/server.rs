@@ -274,6 +274,72 @@ fn slow_bundle(engine: &Engine, delay: Duration) -> ModelBundle {
     b
 }
 
+/// A primary that panics on one history and answers every other one.
+struct PanickingPrimary {
+    on: Vec<usize>,
+    scores: Vec<f64>,
+}
+
+impl TrainedModel for PanickingPrimary {
+    fn kind(&self) -> ModelKind {
+        ModelKind::Lda
+    }
+    fn label(&self) -> &str {
+        "panicking-primary"
+    }
+    fn recommend(&self, history: &[usize]) -> Result<Vec<f64>, EngineError> {
+        assert_ne!(history, &self.on[..], "injected primary panic");
+        Ok(self.scores.clone())
+    }
+    fn perplexity(&self, _test: &[Vec<usize>]) -> Result<f64, EngineError> {
+        Ok(1.0)
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn a_panicking_batch_answers_500_and_the_worker_keeps_serving() {
+    hlm_obs::install(hlm_obs::Recorder::enabled());
+    let engine = engine();
+    let config = ServerConfig {
+        workers: 1,
+        batch_max: 1,
+        ..ServerConfig::default()
+    };
+    let mut b = bundle(&engine, trained_model(&engine));
+    b.resilient = engine.resilient_over(
+        Box::new(PanickingPrimary {
+            on: vec![1, 2],
+            scores: smooth_scores(engine.corpus().vocab().len()),
+        }),
+        ServeOptions {
+            request_budget_millis: None,
+        },
+    );
+    let handle = Server::bind(config, Arc::clone(&engine), b, None)
+        .unwrap()
+        .start()
+        .unwrap();
+    let addr = handle.addr();
+
+    let (status, text) = get(addr, "/v1/recommend?history=1,2");
+    assert_eq!(status, 500, "{text}");
+    // The one worker survived its panic and answers the next request.
+    let (status, text) = get(addr, "/v1/recommend?history=0");
+    assert_eq!(status, 200, "{text}");
+    assert!(body_of(&text).contains("\"degraded\":null"), "{text}");
+    let panics = hlm_obs::global()
+        .snapshot()
+        .counters
+        .iter()
+        .find(|(name, _)| name == hlm_obs::names::SERVE_WORKER_PANICS)
+        .map_or(0, |&(_, n)| n);
+    assert_eq!(panics, 1);
+    handle.shutdown();
+}
+
 #[test]
 fn overload_sheds_with_503_and_retry_after_instead_of_queueing() {
     let engine = engine();
