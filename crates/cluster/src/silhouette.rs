@@ -19,32 +19,6 @@ pub fn silhouette_score(points: &Matrix, labels: &[usize]) -> f64 {
     silhouette_of_subset(points, labels, &(0..points.rows()).collect::<Vec<_>>())
 }
 
-/// Sampled silhouette: computes the exact silhouette on a seeded random
-/// subset of at most `max_samples` points (distances measured within the
-/// subset), the standard approximation for large corpora.
-///
-/// # Panics
-/// Same conditions as [`silhouette_score`], applied to the subset.
-#[cfg(test)]
-pub(crate) fn silhouette_score_sampled(
-    points: &Matrix,
-    labels: &[usize],
-    max_samples: usize,
-    seed: u64,
-) -> f64 {
-    assert!(max_samples >= 2, "need at least two samples");
-    let n = points.rows();
-    if n <= max_samples {
-        return silhouette_score(points, labels);
-    }
-    use rand::SeedableRng;
-    let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    hlm_linalg::dist::shuffle(&mut rng, &mut idx);
-    idx.truncate(max_samples);
-    silhouette_of_subset(points, labels, &idx)
-}
-
 fn silhouette_of_subset(points: &Matrix, labels: &[usize], subset: &[usize]) -> f64 {
     assert_eq!(labels.len(), points.rows(), "one label per point required");
     assert!(subset.len() >= 2, "need at least two points");
@@ -184,39 +158,6 @@ mod tests {
         // Points 0, 1: a = 0.5, b = 10 resp. 9.5 → s ≈ 0.95; singleton: 0.
         let expect = ((10.0 - 0.5) / 10.0 + (9.5 - 0.5) / 9.5 + 0.0) / 3.0;
         assert!((s - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampled_agrees_with_exact_on_small_input() {
-        let (points, labels) = two_blobs(5.0);
-        let exact = silhouette_score(&points, &labels);
-        let sampled = silhouette_score_sampled(&points, &labels, 100, 1);
-        assert_eq!(exact, sampled, "subset covers everything");
-    }
-
-    #[test]
-    fn sampled_approximates_exact_on_larger_input() {
-        // 200 points in two blobs.
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        let mut state = 9u64;
-        let mut noise = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2.0
-        };
-        for i in 0..200 {
-            let c = i % 2;
-            rows.push(vec![c as f64 * 8.0 + noise(), noise()]);
-            labels.push(c);
-        }
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let points = Matrix::from_rows(&refs);
-        let exact = silhouette_score(&points, &labels);
-        let sampled = silhouette_score_sampled(&points, &labels, 60, 3);
-        assert!(
-            (exact - sampled).abs() < 0.1,
-            "exact {exact} vs sampled {sampled}"
-        );
     }
 
     #[test]

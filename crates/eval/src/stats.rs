@@ -10,8 +10,7 @@ use serde::{Deserialize, Serialize};
 /// `mean: 0.0, half_width: 0.0, n: 0`. The zeros keep every serialization
 /// finite (a NaN mean would reach JSON as `null` and poison BENCH
 /// artifacts); `n == 0` — checked via [`MeanCi::is_empty`] — is the signal
-/// that no data backed the figure, and [`MeanCi::significantly_different_from`]
-/// treats such values as incomparable.
+/// that no data backed the figure.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeanCi {
     /// Sample mean (0 for an empty sample; see the empty-sample contract).
@@ -46,19 +45,6 @@ impl MeanCi {
     /// Upper bound of the interval.
     pub fn high(&self) -> f64 {
         self.mean + self.half_width
-    }
-
-    /// True when the two intervals do not overlap — the paper's criterion
-    /// for "statistically significantly different". Empty or non-finite
-    /// values are incomparable: the answer is always `false` (explicitly,
-    /// not vacuously through NaN comparisons).
-    #[cfg(test)]
-    pub(crate) fn significantly_different_from(&self, other: &MeanCi) -> bool {
-        if self.is_empty() || other.is_empty() || !self.mean.is_finite() || !other.mean.is_finite()
-        {
-            return false;
-        }
-        self.low() > other.high() || other.low() > self.high()
     }
 }
 
@@ -260,49 +246,6 @@ mod tests {
         let small: Vec<f64> = (0..10).map(|i| (i % 3) as f64).collect();
         let big: Vec<f64> = (0..1000).map(|i| (i % 3) as f64).collect();
         assert!(mean_ci(&big, 0.95).half_width < mean_ci(&small, 0.95).half_width);
-    }
-
-    #[test]
-    fn significance_is_interval_disjointness() {
-        let a = MeanCi {
-            mean: 1.0,
-            half_width: 0.1,
-            n: 10,
-        };
-        let b = MeanCi {
-            mean: 1.5,
-            half_width: 0.1,
-            n: 10,
-        };
-        let c = MeanCi {
-            mean: 1.15,
-            half_width: 0.1,
-            n: 10,
-        };
-        assert!(a.significantly_different_from(&b));
-        assert!(!a.significantly_different_from(&c));
-    }
-
-    #[test]
-    fn significance_guards_empty_and_non_finite_values() {
-        let a = MeanCi {
-            mean: 1.0,
-            half_width: 0.1,
-            n: 10,
-        };
-        // An empty side is incomparable, whichever side it is on.
-        assert!(!a.significantly_different_from(&MeanCi::empty()));
-        assert!(!MeanCi::empty().significantly_different_from(&a));
-        assert!(!MeanCi::empty().significantly_different_from(&MeanCi::empty()));
-        // A hand-built NaN mean must answer false explicitly, not through a
-        // vacuous NaN comparison.
-        let poisoned = MeanCi {
-            mean: f64::NAN,
-            half_width: 0.1,
-            n: 10,
-        };
-        assert!(!a.significantly_different_from(&poisoned));
-        assert!(!poisoned.significantly_different_from(&a));
     }
 
     #[test]

@@ -161,22 +161,6 @@ impl Cholesky {
         }
         inv
     }
-
-    /// Applies the factor: returns `L v`.
-    #[cfg(test)]
-    pub(crate) fn apply_factor(&self, v: &[f64]) -> Vec<f64> {
-        let n = self.dim();
-        assert_eq!(v.len(), n, "apply_factor dimension mismatch");
-        let mut out = vec![0.0; n];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut sum = 0.0;
-            for (k, &vk) in v.iter().enumerate().take(i + 1) {
-                sum += self.l.get(i, k) * vk;
-            }
-            *o = sum;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -238,15 +222,6 @@ mod tests {
         assert!(Cholesky::decompose(&a).is_err());
         let ch = Cholesky::decompose_with_jitter(&a, 1e-8, 10).unwrap();
         assert!(ch.factor().is_finite());
-    }
-
-    #[test]
-    fn apply_factor_matches_matvec() {
-        let a = spd_3x3();
-        let ch = Cholesky::decompose(&a).unwrap();
-        let v = [0.3, -1.0, 2.0];
-        let direct = ch.factor().matvec(&v);
-        assert_eq!(ch.apply_factor(&v), direct);
     }
 
     proptest! {

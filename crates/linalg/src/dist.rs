@@ -116,68 +116,6 @@ pub fn sample_categorical<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usiz
     weights.len() - 1
 }
 
-/// Walker alias table for O(1) categorical sampling over one weight vector.
-/// Only the tests build one; the sampler uses [`AliasTableSet`].
-#[cfg(test)]
-#[derive(Debug, Clone)]
-pub(crate) struct AliasTable {
-    prob: Vec<f64>,
-    alias: Vec<usize>,
-}
-
-#[cfg(test)]
-impl AliasTable {
-    /// Builds an alias table from non-negative weights.
-    ///
-    /// # Panics
-    /// Panics if `weights` is empty, has invalid entries, or sums to zero.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "alias table needs at least one weight");
-        let n = weights.len();
-        let total: f64 = weights
-            .iter()
-            .inspect(|&&w| assert!(w.is_finite() && w >= 0.0, "invalid alias weight {w}"))
-            .sum();
-        assert!(total > 0.0, "alias table weights sum to zero");
-
-        let mut prob: Vec<f64> = weights.iter().map(|&w| w * n as f64 / total).collect();
-        let mut alias = vec![0usize; n];
-        let mut small: Vec<usize> = Vec::with_capacity(n);
-        let mut large: Vec<usize> = Vec::with_capacity(n);
-        for (i, &p) in prob.iter().enumerate() {
-            if p < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-            alias[s] = l;
-            prob[l] = (prob[l] + prob[s]) - 1.0;
-            if prob[l] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        // Leftovers are numerically 1.0.
-        for i in small.into_iter().chain(large) {
-            prob[i] = 1.0;
-        }
-        AliasTable { prob, alias }
-    }
-
-    /// Draws a category index in O(1).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let i = rng.gen_range(0..self.prob.len());
-        if rng.gen::<f64>() < self.prob[i] {
-            i
-        } else {
-            self.alias[i]
-        }
-    }
-}
-
 /// A family of Walker alias tables sharing flat storage, built for the
 /// LightLDA-style Gibbs sampler: one table per vocabulary word, each over the
 /// same `k` topics, rebuilt every sweep from the sweep-start count snapshot.
@@ -418,22 +356,6 @@ mod tests {
     fn categorical_rejects_all_zero() {
         let mut r = rng();
         sample_categorical(&mut r, &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn alias_table_matches_weights() {
-        let mut r = rng();
-        let w = [0.1, 0.2, 0.0, 0.7];
-        let table = AliasTable::new(&w);
-        let mut counts = [0usize; 4];
-        let n = 50_000;
-        for _ in 0..n {
-            counts[table.sample(&mut r)] += 1;
-        }
-        assert_eq!(counts[2], 0);
-        for (i, &c) in counts.iter().enumerate() {
-            assert!((c as f64 / n as f64 - w[i]).abs() < 0.01, "category {i}");
-        }
     }
 
     #[test]

@@ -446,21 +446,6 @@ impl Matrix {
         }
     }
 
-    /// Outer product `a * b^T` as an `a.len() x b.len()` matrix.
-    #[cfg(test)]
-    pub(crate) fn outer(a: &[f64], b: &[f64]) -> Matrix {
-        let mut out = Matrix::zeros(a.len(), b.len());
-        for (i, &ai) in a.iter().enumerate() {
-            if ai == 0.0 {
-                continue;
-            }
-            for (j, &bj) in b.iter().enumerate() {
-                out.set(i, j, ai * bj);
-            }
-        }
-        out
-    }
-
     /// Adds the outer product `alpha * a * b^T` in place.
     ///
     /// # Panics
@@ -552,13 +537,6 @@ mod tests {
     fn transpose_roundtrip() {
         let a = Matrix::from_fn(3, 4, |i, j| (i * 10 + j) as f64);
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn outer_product() {
-        let o = Matrix::outer(&[1.0, 2.0], &[3.0, 4.0, 5.0]);
-        assert_eq!(o.shape(), (2, 3));
-        assert_eq!(o.get(1, 2), 10.0);
     }
 
     #[test]

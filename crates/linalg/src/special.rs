@@ -170,26 +170,6 @@ pub fn softmax(xs: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Regularized lower incomplete gamma `P(a, x) = γ(a, x) / Γ(a)` via the
-/// series expansion for `x < a + 1` and the continued fraction otherwise
-/// (Numerical Recipes `gammp`).
-///
-/// # Panics
-/// Panics unless `a > 0` and `x >= 0`.
-#[cfg(test)]
-pub(crate) fn gamma_p(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "gamma_p requires a > 0, got {a}");
-    assert!(x >= 0.0, "gamma_p requires x >= 0, got {x}");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        gamma_series(a, x)
-    } else {
-        1.0 - gamma_cont_frac(a, x)
-    }
-}
-
 /// Regularized upper incomplete gamma `Q(a, x) = 1 − P(a, x)`.
 ///
 /// # Panics
@@ -336,31 +316,18 @@ mod tests {
     }
 
     #[test]
-    fn incomplete_gamma_complements() {
-        for &(a, x) in &[(0.5, 0.3), (2.0, 1.0), (5.0, 9.0), (10.0, 3.0)] {
-            let p = gamma_p(a, x);
-            let q = gamma_q(a, x);
-            assert!((p + q - 1.0).abs() < 1e-12, "a={a} x={x}: P+Q = {}", p + q);
-            assert!((0.0..=1.0).contains(&p));
-        }
-        assert_eq!(gamma_p(2.0, 0.0), 0.0);
-        assert_eq!(gamma_q(2.0, 0.0), 1.0);
-    }
-
-    #[test]
     fn incomplete_gamma_known_values() {
-        // P(1, x) = 1 - e^{-x}.
+        // Q(1, x) = e^{-x}; x < 2 takes the series, the rest the continued
+        // fraction.
         for &x in &[0.1, 1.0, 3.0, 10.0] {
-            assert!(
-                (gamma_p(1.0, x) - (1.0 - (-x).exp())).abs() < 1e-12,
-                "x={x}"
-            );
+            assert!((gamma_q(1.0, x) - (-x).exp()).abs() < 1e-12, "x={x}");
         }
-        // P(1/2, x) = erf(sqrt(x)).
+        // Q(1/2, x) = 1 - erf(sqrt(x)).
         for &x in &[0.25f64, 1.0, 4.0] {
-            let expect = erf(x.sqrt());
-            assert!((gamma_p(0.5, x) - expect).abs() < 1e-6, "x={x}");
+            let expect = 1.0 - erf(x.sqrt());
+            assert!((gamma_q(0.5, x) - expect).abs() < 1e-6, "x={x}");
         }
+        assert_eq!(gamma_q(2.0, 0.0), 1.0);
     }
 
     #[test]

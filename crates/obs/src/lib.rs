@@ -102,28 +102,6 @@ impl Histogram {
         self.count += 1;
         self.sum += v;
     }
-
-    /// Merges another histogram into this one. Bucket counts add exactly;
-    /// `sum` adds in call order (callers merge in chunk order, pinning the
-    /// floating-point accumulation).
-    #[cfg(test)]
-    fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
 }
 
 /// One completed span: a timed scope with a hierarchical `/`-separated path.
@@ -276,36 +254,6 @@ impl Recorder {
         Span::open(self.clone(), name.to_string())
     }
 
-    /// A detached local table for one parallel chunk: workers accumulate
-    /// without touching the shared lock, and the coordinator merges the
-    /// locals **in chunk order** with [`Recorder::absorb`]. Mirrors the
-    /// recorder's enabled state, so disabled runs pay nothing.
-    #[cfg(test)]
-    pub(crate) fn local(&self) -> LocalMetrics {
-        LocalMetrics {
-            enabled: self.is_enabled(),
-            counters: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-        }
-    }
-
-    /// Merges a chunk-local table into the shared store. Call in chunk order
-    /// so histogram sums accumulate along one canonical order.
-    #[cfg(test)]
-    pub(crate) fn absorb(&self, local: LocalMetrics) {
-        let Some(inner) = &self.inner else { return };
-        if !local.enabled || (local.counters.is_empty() && local.histograms.is_empty()) {
-            return;
-        }
-        let mut st = inner.state.lock().expect("obs state lock");
-        for (name, n) in local.counters {
-            *st.counters.entry(name).or_insert(0) += n;
-        }
-        for (name, h) in local.histograms {
-            st.histograms.entry(name).or_default().merge(&h);
-        }
-    }
-
     /// A point-in-time copy of everything recorded so far.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else {
@@ -382,49 +330,6 @@ impl Drop for Span {
             let duration_ms = start.elapsed().as_secs_f64() * 1e3;
             self.rec.finish_span(&self.path, start_ms, duration_ms);
         }
-    }
-}
-
-/// A lock-free per-chunk metrics table (see [`Recorder::local`]). No
-/// parallel loop uses one yet; the tests pin its chunk-order merge.
-#[cfg(test)]
-#[derive(Debug, Default)]
-pub(crate) struct LocalMetrics {
-    enabled: bool,
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-#[cfg(test)]
-impl LocalMetrics {
-    /// Whether the parent recorder records (skip measurement work when not).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Adds `n` to the named counter.
-    pub fn add(&mut self, name: &str, n: u64) {
-        if !self.enabled {
-            return;
-        }
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
-    }
-
-    /// Records one value into the named histogram (non-finite values are
-    /// dropped, as in [`Recorder::observe`]).
-    pub fn observe(&mut self, name: &str, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        if !value.is_finite() {
-            debug_assert!(value.is_finite(), "non-finite observation for {name}");
-            self.add(NON_FINITE_DROPPED, 1);
-            return;
-        }
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
     }
 }
 
@@ -676,31 +581,6 @@ mod tests {
         assert_eq!(snap.traces.len(), 2);
         assert_eq!(snap.traces[1].iteration, 1);
         assert!(snap.traces[0].seq < snap.traces[1].seq);
-    }
-
-    #[test]
-    fn local_metrics_merge_exactly() {
-        let rec = Recorder::enabled();
-        // Simulate two chunks merged in chunk order.
-        let mut a = rec.local();
-        let mut b = rec.local();
-        assert!(a.is_enabled());
-        a.add("c", 2);
-        b.add("c", 3);
-        a.observe("h", 0.5);
-        b.observe("h", 5.0);
-        rec.absorb(a);
-        rec.absorb(b);
-        assert_eq!(rec.counter("c"), 5);
-        let snap = rec.snapshot();
-        let h = &snap.histograms[0].1;
-        assert_eq!(h.count, 2);
-        assert_eq!(h.min, 0.5);
-        assert_eq!(h.max, 5.0);
-        // A local from a noop recorder is inert.
-        let mut noop_local = Recorder::noop().local();
-        noop_local.add("c", 100);
-        assert_eq!(Recorder::noop().counter("c"), 0);
     }
 
     #[test]
