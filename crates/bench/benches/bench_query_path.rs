@@ -1,7 +1,7 @@
-//! Criterion micro-benchmarks of the serving read-path kernels
-//! (DESIGN.md §3.10): the pre-store scalar scan, the `RepStore`
-//! single-query kernel and the blocked multi-query kernel, at
-//! K ∈ {16, 64} over n ∈ {20k, 200k} companies.
+//! Criterion micro-benchmarks of the serving read path (DESIGN.md §3.10):
+//! the pre-store scalar scan and the `RepStore` kernel at a batch of one
+//! and at a 16-query micro-batch, at K ∈ {16, 64} over n ∈ {20k, 200k}
+//! companies.
 //!
 //! Threads are pinned to 1 so the numbers compare *kernels*, not
 //! parallelism — the same no-parallelism-credit rule the `hlm-bench`
@@ -9,9 +9,9 @@
 //! 16-query micro-batch; divide by 16 for per-query cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hlm_core::repstore::{PreparedQuery, RepStore};
+use hlm_core::repstore::RepStore;
 use hlm_core::{top_k_similar_scalar, DistanceMetric};
-use hlm_linalg::Matrix;
+use hlm_datagen::blob_matrix;
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -19,43 +19,14 @@ const DIMS: usize = 16;
 const CENTERS: usize = 64;
 const BATCH: usize = 16;
 
-/// Clustered blobs standing in for company representations, which group
-/// around a few latent profiles; same generator family as the phase-6
-/// harness.
-fn blob_matrix(rows: usize, seed: u64) -> Matrix {
-    let mut state = seed.max(1);
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let centroids: Vec<Vec<f64>> = (0..CENTERS)
-        .map(|_| (0..DIMS).map(|_| next() * 10.0).collect())
-        .collect();
-    let mut m = Matrix::zeros(rows, DIMS);
-    for i in 0..rows {
-        let c = &centroids[i % CENTERS];
-        for (j, &cj) in c.iter().enumerate() {
-            m.set(i, j, cj + (next() - 0.5) * 0.5);
-        }
-    }
-    m
-}
-
 fn bench_query_path(c: &mut Criterion) {
     // Kernel comparison only: no parallelism credit.
     hlm_engine::set_threads(1);
     let metric = DistanceMetric::Cosine;
     for n in [20_000usize, 200_000] {
-        let reps = Arc::new(blob_matrix(n, 20190326));
+        let reps = Arc::new(blob_matrix(n, DIMS, CENTERS, 20190326));
         let store = RepStore::flat(Arc::clone(&reps), metric);
         let queries: Vec<usize> = (0..BATCH).map(|i| (i * 997) % n).collect();
-        let pqs: Vec<PreparedQuery> = queries
-            .iter()
-            .map(|&q| store.prepare(reps.row(q)))
-            .collect();
-        let excludes: Vec<Option<usize>> = queries.iter().map(|&q| Some(q)).collect();
         let mut group = c.benchmark_group(&format!("query_path_n{}k", n / 1000));
         group.sample_size(10);
         for k in [16usize, 64] {
@@ -72,12 +43,11 @@ fn bench_query_path(c: &mut Criterion) {
                 b.iter(|| {
                     let i = turn.get();
                     turn.set((i + 1) % BATCH);
-                    let q = queries[i];
-                    std::hint::black_box(store.top_k(&pqs[i], k, |r| r != q))
+                    std::hint::black_box(store.top_k_batch(&queries[i..=i], k, |_| true))
                 })
             });
             group.bench_function(&format!("blocked_f64_k{k}_batch{BATCH}"), |b| {
-                b.iter(|| std::hint::black_box(store.top_k_batch(&pqs, k, &excludes)))
+                b.iter(|| std::hint::black_box(store.top_k_batch(&queries, k, |_| true)))
             });
         }
         group.finish();

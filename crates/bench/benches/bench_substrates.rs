@@ -82,10 +82,7 @@ fn bench_similarity(c: &mut Criterion) {
     ] {
         let store = RepStore::flat(Arc::clone(&reps), metric);
         c.bench_function(name, |b| {
-            b.iter(|| {
-                let pq = store.prepare(reps.row(17));
-                store.top_k(black_box(&pq), 10, |r| r != 17)
-            })
+            b.iter(|| store.top_k_batch(black_box(&[17]), 10, |_| true))
         });
     }
 }

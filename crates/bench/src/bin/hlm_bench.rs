@@ -29,9 +29,10 @@
 //!    actually has more than one hardware thread.
 //! 6. **Query-path kernels** (PR 10) — queries/s and p50/p99 of the
 //!    serving read path over synthetic clustered blobs at n = 20k and
-//!    n = 200k companies: the pre-store scalar scan, the [`RepStore`]
-//!    single-query kernel and the blocked 16-query kernel, all pinned to
-//!    one hardware thread (no parallelism credit). This phase writes its
+//!    n = 200k companies: the pre-store scalar scan, then the [`RepStore`]
+//!    kernel at a batch of one (`store_f64`) and at a 16-query batch
+//!    (`blocked_f64`), all pinned to one hardware thread (no parallelism
+//!    credit). This phase writes its
 //!    own record, `BENCH_pr10.json`, which the CI perf job gates
 //!    (blocked-f64 ≥ 1.5× scalar at n = 200k).
 //!
@@ -64,7 +65,6 @@ use hlm_engine::{effective_threads, set_threads, Engine, TrainPlan};
 use hlm_lda::{
     document_completion_perplexity, GibbsTrainer, LdaConfig, OnlineVbOptions, SamplerChoice,
 };
-use hlm_linalg::Matrix;
 use hlm_obs::json;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -496,8 +496,8 @@ fn run_samplers(scale: &ExpScale, hardware: usize) -> SamplerReport {
     }
 }
 
-/// One read-path kernel measurement. `batch == 1` for single-query
-/// kernels; blocked kernels report queries/s across the whole micro-batch
+/// One read-path kernel measurement. `batch == 1` for one query a call;
+/// blocked rows report queries/s across the whole micro-batch
 /// and *amortized* per-query latency (batch wall clock / batch size).
 struct QueryKernelRun {
     name: &'static str,
@@ -527,30 +527,6 @@ const QP_CENTERS: usize = 64;
 const QP_BATCH: usize = 16;
 const QP_K: usize = 10;
 
-/// Clustered Gaussian blobs standing in for company representations, which
-/// group around a few latent profiles. Same generator family as
-/// `benches/bench_query_path.rs` and `tests/query_path.rs`.
-fn blob_matrix(rows: usize, seed: u64) -> Matrix {
-    let mut state = seed.max(1);
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let centroids: Vec<Vec<f64>> = (0..QP_CENTERS)
-        .map(|_| (0..QP_DIMS).map(|_| next() * 10.0).collect())
-        .collect();
-    let mut m = Matrix::zeros(rows, QP_DIMS);
-    for i in 0..rows {
-        let c = &centroids[i % QP_CENTERS];
-        for (j, &cj) in c.iter().enumerate() {
-            m.set(i, j, cj + (next() - 0.5) * 0.5);
-        }
-    }
-    m
-}
-
 /// Times `call` over `n_queries × rounds` invocations, one at a time, and
 /// returns (calls/s, p50 µs, p99 µs) over the individual call latencies.
 fn time_calls<F: FnMut(usize)>(n_queries: usize, rounds: usize, mut call: F) -> (f64, f64, f64) {
@@ -574,8 +550,9 @@ fn time_calls<F: FnMut(usize)>(n_queries: usize, rounds: usize, mut call: F) -> 
 
 /// Phase 6: the PR 10 serving read-path kernel shoot-out. Synthetic blob
 /// representations (the corpus plays no role in the kernels), scalar scan
-/// vs `RepStore` single-query vs blocked, strictly one thread — the same
-/// no-parallelism-credit rule the thread sweeps above follow.
+/// vs the `RepStore` kernel at batch 1 and at batch 16, strictly one
+/// thread — the same no-parallelism-credit rule the thread sweeps above
+/// follow.
 fn run_query_path(scale: &ExpScale) -> QueryPathReport {
     let sizes: &[usize] = if matches!(scale.name, "smoke" | "small") {
         &[5_000]
@@ -588,14 +565,9 @@ fn run_query_path(scale: &ExpScale) -> QueryPathReport {
     let mut groups = Vec::new();
     for &n in sizes {
         eprintln!("[hlm-bench] query path: n={n}, building the store…");
-        let reps = Arc::new(blob_matrix(n, scale.seed));
+        let reps = Arc::new(hlm_datagen::blob_matrix(n, QP_DIMS, QP_CENTERS, scale.seed));
         let store = RepStore::flat(Arc::clone(&reps), metric);
         let query_rows: Vec<usize> = (0..N_QUERIES).map(|i| (i * 9_973) % n).collect();
-        let pqs: Vec<_> = query_rows
-            .iter()
-            .map(|&q| store.prepare(reps.row(q)))
-            .collect();
-        let excludes: Vec<Option<usize>> = query_rows.iter().map(|&q| Some(q)).collect();
 
         // Kernel timings: one hardware thread, no parallelism credit.
         set_threads(1);
@@ -615,8 +587,7 @@ fn run_query_path(scale: &ExpScale) -> QueryPathReport {
             p99_us: p99,
         });
         let (qps, p50, p99) = time_calls(N_QUERIES, ROUNDS, |i| {
-            let q = query_rows[i];
-            std::hint::black_box(store.top_k(&pqs[i], QP_K, |r| r != q));
+            std::hint::black_box(store.top_k_batch(&query_rows[i..=i], QP_K, |_| true));
         });
         kernels.push(QueryKernelRun {
             name: "store_f64",
@@ -628,11 +599,7 @@ fn run_query_path(scale: &ExpScale) -> QueryPathReport {
         let n_batches = N_QUERIES / QP_BATCH;
         let (qps, p50, p99) = time_calls(n_batches, ROUNDS, |b| {
             let s = b * QP_BATCH;
-            std::hint::black_box(store.top_k_batch(
-                &pqs[s..s + QP_BATCH],
-                QP_K,
-                &excludes[s..s + QP_BATCH],
-            ));
+            std::hint::black_box(store.top_k_batch(&query_rows[s..s + QP_BATCH], QP_K, |_| true));
         });
         kernels.push(QueryKernelRun {
             name: "blocked_f64",

@@ -6,10 +6,16 @@
 //! the products that similar companies own but the customer does not — the
 //! "whitespace" enriched from internal data. Here the corpus itself plays
 //! the role of the internal install-base database.
+//!
+//! Every similar-company answer, filtered or not, comes from one path:
+//! [`SalesApplication::find_similar_batch`] answers cache hits and scores
+//! the misses through the store's one kernel, with the filter as its row
+//! predicate. [`SalesApplication::find_similar`] is a batch of one, and the
+//! whitespace entry points rank through the same path.
 
 use crate::cache::{CacheKey, FilterKey, ServingCache};
 use crate::error::CoreError;
-use crate::repstore::{PreparedQuery, RepStore};
+use crate::repstore::RepStore;
 use crate::similarity::DistanceMetric;
 use hlm_corpus::{CompanyId, Corpus, ProductId, Sic2};
 use hlm_linalg::Matrix;
@@ -164,7 +170,8 @@ impl SalesApplication {
     /// Top-k companies most similar to `query`, after filtering. The filter
     /// is applied to the candidate pool before truncating to `k`, so the
     /// result has exactly `k` entries whenever at least `k` companies (other
-    /// than the query) pass the filter.
+    /// than the query) pass the filter. A batch of one through
+    /// [`SalesApplication::find_similar_batch`].
     ///
     /// # Errors
     /// [`CoreError::CompanyOutOfRange`] on an out-of-range query id;
@@ -177,63 +184,8 @@ impl SalesApplication {
         k: usize,
         filter: &CompanyFilter,
     ) -> Result<Vec<SimilarCompany>, CoreError> {
-        if query.index() >= self.corpus.len() {
-            return Err(CoreError::CompanyOutOfRange {
-                id: query.0,
-                len: self.corpus.len(),
-            });
-        }
-        if let Some(row) = self.store.first_non_finite() {
-            return Err(CoreError::NonFiniteRepresentation { row });
-        }
-        let cache_key = self.cache.as_ref().map(|(_, generation)| {
-            CacheKey::new(
-                *generation,
-                query.index(),
-                k,
-                self.store.metric(),
-                FilterKey::of(filter),
-            )
-        });
-        if let (Some((cache, _)), Some(key)) = (&self.cache, &cache_key) {
-            if let Some(hit) = cache.get(key) {
-                return Ok(hit);
-            }
-        }
-        let answer = self.find_similar_uncached(query, k, filter);
-        if let (Some((cache, _)), Some(key)) = (&self.cache, cache_key) {
-            cache.insert(key, answer.clone());
-        }
-        Ok(answer)
-    }
-
-    /// The ranking behind [`SalesApplication::find_similar`], always
-    /// computed fresh.
-    fn find_similar_uncached(
-        &self,
-        query: CompanyId,
-        k: usize,
-        filter: &CompanyFilter,
-    ) -> Vec<SimilarCompany> {
-        // Exact scan through the scoring store: filter *before* ranking
-        // (equivalent to ranking all rows and keeping the first k
-        // survivors, since the filter is independent of distance) so the
-        // selection stays k-bounded and non-matching rows never pay a
-        // distance computation. The result is byte-identical to the
-        // pre-store `metric.distance` scan.
-        let row = query.index();
-        let pq = self.store.prepare(self.store.row(row));
-        let unfiltered = filter.is_empty();
-        let ranked = self.store.top_k(&pq, k, |r| {
-            r != row && (unfiltered || filter.matches(&self.corpus, CompanyId(r as u32)))
-        });
-        ranked
-            .into_iter()
-            .map(|(row, distance)| SimilarCompany {
-                id: CompanyId(row as u32),
-                distance,
-            })
-            .collect()
+        let answers = self.find_similar_batch(&[query], k, filter)?;
+        Ok(answers.into_iter().next().unwrap_or_default())
     }
 
     /// Whitespace recommendations for `query`: products owned by its top-k
@@ -254,8 +206,7 @@ impl SalesApplication {
 
     /// The aggregation half of [`SalesApplication::recommend_whitespace`]:
     /// turns an already-ranked similar list into scored whitespace. Split
-    /// out so the batch path can reuse similar lists produced by the
-    /// blocked kernel.
+    /// out so the batch path can reuse the batch's similar lists.
     fn whitespace_from_similar(
         &self,
         query: CompanyId,
@@ -302,18 +253,16 @@ impl SalesApplication {
         out
     }
 
-    /// [`SalesApplication::find_similar`] for a batch of queries — the
-    /// serve-worker micro-batch path. Results are in query order and
-    /// identical to calling `find_similar` per query serially — each query
-    /// is independent, so neither parallelism nor the kernel shape can
-    /// change any answer.
+    /// [`SalesApplication::find_similar`] for a batch of queries, and the
+    /// application's one similar-company path. Results are in query order,
+    /// and each is the answer its query gets alone: queries are
+    /// independent, so neither the batch, its split nor the thread count
+    /// can change any answer.
     ///
-    /// Unfiltered batches run through the store's blocked multi-query kernel
-    /// (cache misses only; hits still replay their memoized answers): a
-    /// block of rows is scored against every query in the chunk while
-    /// cache-hot, instead of each query streaming the whole matrix on its
-    /// own. Filtered batches keep the per-query path, fanned out over the
-    /// global worker pool.
+    /// Cache hits replay their memoized answers. The misses run through
+    /// [`RepStore::top_k_batch`] in fixed [`BATCH_QUERY_CHUNK`]-query chunks
+    /// fanned out over the global pool, with the filter as its row
+    /// predicate (an empty filter checks nothing), then backfill the cache.
     ///
     /// # Errors
     /// As in [`SalesApplication::find_similar`]; the first failing query's
@@ -324,9 +273,8 @@ impl SalesApplication {
         k: usize,
         filter: &CompanyFilter,
     ) -> Result<Vec<Vec<SimilarCompany>>, CoreError> {
-        // Validate the whole batch up front (first failure in query order —
-        // the same error the per-query path would surface) so the blocked
-        // kernel never trips mid-scan.
+        // Validate the whole batch up front (first failure in query order)
+        // so the kernel never trips mid-scan.
         for &q in queries {
             if q.index() >= self.corpus.len() {
                 return Err(CoreError::CompanyOutOfRange {
@@ -338,66 +286,32 @@ impl SalesApplication {
         if let Some(row) = self.store.first_non_finite() {
             return Err(CoreError::NonFiniteRepresentation { row });
         }
-        if filter.is_empty() {
-            return Ok(self.find_similar_batch_blocked(queries, k, filter));
-        }
-        let pool = hlm_par::Pool::global();
-        hlm_par::par_chunks(&pool, queries, BATCH_QUERY_CHUNK, |_c, chunk| {
-            chunk
-                .iter()
-                .map(|&q| self.find_similar(q, k, filter))
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .into_iter()
-        .try_fold(Vec::with_capacity(queries.len()), |mut acc, part| {
-            acc.extend(part?);
-            Ok(acc)
-        })
-    }
-
-    /// The blocked-kernel batch path: pre-validated and unfiltered.
-    /// Cache hits are answered first; the misses run through
-    /// [`RepStore::top_k_batch`] in fixed [`BATCH_QUERY_CHUNK`]-query
-    /// chunks fanned out over the global pool, then backfill the cache.
-    fn find_similar_batch_blocked(
-        &self,
-        queries: &[CompanyId],
-        k: usize,
-        filter: &CompanyFilter,
-    ) -> Vec<Vec<SimilarCompany>> {
-        let key_for = |query: CompanyId| {
-            self.cache.as_ref().map(|(_, generation)| {
-                CacheKey::new(
-                    *generation,
-                    query.index(),
-                    k,
-                    self.store.metric(),
-                    FilterKey::of(filter),
-                )
+        let cached = |q: CompanyId| {
+            self.cache.as_ref().map(|(cache, generation)| {
+                let metric = self.store.metric();
+                let key = CacheKey::new(*generation, q.index(), k, metric, FilterKey::of(filter));
+                (cache, key)
             })
         };
         // Every query is a hit or a miss, and every miss is scored below.
         let mut results: Vec<Vec<SimilarCompany>> = vec![Vec::new(); queries.len()];
         let mut misses: Vec<usize> = Vec::new();
         for (i, &q) in queries.iter().enumerate() {
-            let hit = match (&self.cache, key_for(q)) {
-                (Some((cache, _)), Some(key)) => cache.get(&key),
-                _ => None,
-            };
-            match hit {
+            match cached(q).and_then(|(cache, key)| cache.get(&key)) {
                 Some(answer) => results[i] = answer,
                 None => misses.push(i),
             }
         }
         let pool = hlm_par::Pool::global();
         let scored = hlm_par::par_chunks(&pool, &misses, BATCH_QUERY_CHUNK, |_c, chunk| {
-            let pqs: Vec<PreparedQuery> = chunk
-                .iter()
-                .map(|&i| self.store.prepare(self.store.row(queries[i].index())))
-                .collect();
-            let excludes: Vec<Option<usize>> =
-                chunk.iter().map(|&i| Some(queries[i].index())).collect();
-            self.store.top_k_batch(&pqs, k, &excludes)
+            let rows: Vec<usize> = chunk.iter().map(|&i| queries[i].index()).collect();
+            if filter.is_empty() {
+                self.store.top_k_batch(&rows, k, |_| true)
+            } else {
+                self.store.top_k_batch(&rows, k, |r| {
+                    filter.matches(&self.corpus, CompanyId(r as u32))
+                })
+            }
         });
         for (&i, ranked) in misses.iter().zip(scored.into_iter().flatten()) {
             let answer: Vec<SimilarCompany> = ranked
@@ -407,21 +321,20 @@ impl SalesApplication {
                     distance,
                 })
                 .collect();
-            if let (Some((cache, _)), Some(key)) = (&self.cache, key_for(queries[i])) {
+            if let Some((cache, key)) = cached(queries[i]) {
                 cache.insert(key, answer.clone());
             }
             results[i] = answer;
         }
-        results
+        Ok(results)
     }
 
     /// [`SalesApplication::recommend_whitespace`] for a batch of queries —
     /// the serving-side bulk path (score a whole territory's accounts at
     /// once). The similar-company half runs through
-    /// [`SalesApplication::find_similar_batch`] (and thus the blocked
-    /// kernel when unfiltered); the whitespace aggregation fans out over
-    /// the global worker pool. Results are in query order and identical to
-    /// the serial per-query calls.
+    /// [`SalesApplication::find_similar_batch`]; the whitespace aggregation
+    /// fans out over the global worker pool. Results are in query order and
+    /// identical to the serial per-query calls.
     ///
     /// # Errors
     /// As in [`SalesApplication::recommend_whitespace`]; the first failing

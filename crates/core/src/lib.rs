@@ -17,10 +17,10 @@
 //!   motivating learned features (Section 3.1);
 //! * [`app`] — the sales application: similar-company search with industry /
 //!   geography / size filters and whitespace product recommendations;
-//! * [`repstore`] — the flat scoring store and kernel layer behind every
-//!   similar-company ranking: cached norms, dot-product cosine, one exact
-//!   single-query scan with a row predicate, and the blocked multi-query
-//!   kernel (DESIGN.md §3.10);
+//! * [`repstore`] — the flat scoring store and kernel behind every
+//!   similar-company ranking: cached norms, dot-product cosine, and one
+//!   exact blocked scan over a batch of query rows with a row predicate
+//!   (DESIGN.md §3.10);
 //! * [`cache`] — the bounded, generation-stamped [`ServingCache`] memoizing
 //!   similar-company answers on the serving hot path, invalidated on
 //!   retrain;
@@ -81,7 +81,7 @@ pub use app::{CompanyFilter, SalesApplication, WhitespaceRecommendation};
 pub use cache::ServingCache;
 pub use error::CoreError;
 pub use recommenders::{evaluate_bpmf, masked_lda_scores, BpmfEvaluation};
-pub use repstore::{PreparedQuery, RepStore};
+pub use repstore::RepStore;
 pub use similarity::{
     neighbor_label_agreement, popularity_bias, top_k_similar_scalar, DistanceMetric,
 };

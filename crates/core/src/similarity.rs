@@ -160,11 +160,11 @@ pub fn top_k_similar_scalar(
 /// Needs at least two rows.
 fn nearest_other_rows(representations: &Matrix, metric: DistanceMetric) -> Vec<usize> {
     let store = RepStore::flat(Arc::new(representations.clone()), metric);
-    (0..store.len())
-        .map(|i| {
-            let pq = store.prepare(representations.row(i));
-            store.top_k(&pq, 1, |r| r != i)[0].0
-        })
+    let rows: Vec<usize> = (0..store.len()).collect();
+    store
+        .top_k_batch(&rows, 1, |_| true)
+        .into_iter()
+        .map(|nearest| nearest[0].0)
         .collect()
 }
 
@@ -265,8 +265,7 @@ mod tests {
     /// query itself excluded.
     fn flat_top_k(m: &Matrix, query: usize, k: usize, metric: DistanceMetric) -> Vec<(usize, f64)> {
         let store = RepStore::flat(Arc::new(m.clone()), metric);
-        let pq = store.prepare(m.row(query));
-        store.top_k(&pq, k, |r| r != query)
+        store.top_k_batch(&[query], k, |_| true).remove(0)
     }
 
     #[test]

@@ -28,11 +28,13 @@
 //!
 //! See DESIGN.md §2 for the substitution rationale.
 
+pub(crate) mod blobs;
 pub mod config;
 pub mod events;
 pub(crate) mod generator;
 pub(crate) mod profiles;
 
+pub use blobs::blob_matrix;
 pub use config::GeneratorConfig;
 pub use events::{
     generate_events, EventStream, EventStreamConfig, LaunchSpec, MixShift, StreamEvent, StreamState,

@@ -57,10 +57,8 @@ fn main() {
     header("Example neighbourhood (LDA space)");
     let query = CompanyId(7);
     println!("query: {}", describe(&corpus, query));
-    let lda_b = Arc::new(lda_b);
-    let store = RepStore::flat(Arc::clone(&lda_b), DistanceMetric::Cosine);
-    let pq = store.prepare(lda_b.row(query.index()));
-    for (row, d) in store.top_k(&pq, 4, |r| r != query.index()) {
+    let store = RepStore::flat(Arc::new(lda_b), DistanceMetric::Cosine);
+    for (row, d) in store.top_k_batch(&[query.index()], 4, |_| true).remove(0) {
         println!("  d={d:.4}  {}", describe(&corpus, CompanyId(row as u32)));
     }
 }

@@ -6,34 +6,12 @@
 use hlm_core::representations::raw_binary;
 use hlm_core::{
     neighbor_label_agreement, popularity_bias, top_k_similar_scalar, CompanyFilter, DistanceMetric,
-    RepStore, SalesApplication,
+    RepStore, SalesApplication, ServingCache,
 };
 use hlm_corpus::{CompanyId, Corpus};
+use hlm_datagen::blob_matrix;
 use hlm_linalg::Matrix;
 use std::sync::Arc;
-
-/// Gaussian-ish blobs around `centers` well-separated centroids, standing in
-/// for company representations that group around a few latent profiles.
-fn blob_matrix(rows: usize, dims: usize, centers: usize, seed: u64) -> Matrix {
-    let mut state = seed.max(1);
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let centroids: Vec<Vec<f64>> = (0..centers)
-        .map(|_| (0..dims).map(|_| next() * 10.0).collect())
-        .collect();
-    let mut m = Matrix::zeros(rows, dims);
-    for i in 0..rows {
-        let c = &centroids[i % centers];
-        for (j, &cj) in c.iter().enumerate() {
-            m.set(i, j, cj + (next() - 0.5) * 0.5);
-        }
-    }
-    m
-}
 
 /// The application's exact paths — single scan, filtered scan, blocked
 /// batch — all return byte-identical rankings to the scalar reference.
@@ -61,36 +39,49 @@ fn application_read_path_is_byte_identical_to_scalar_reference() {
     }
 }
 
-/// `RepStore::top_k`'s fan-out over fixed row chunks, on a flat store with a
-/// row predicate: 20,000 rows make three chunks, and with the parallelism
-/// threshold forced to zero the pool engages at 4 threads and stays serial
-/// at 1. Both runs agree in ids and distance bits, and both equal the scalar
-/// oracle over every row, filtered by the same predicate and cut to k.
+/// Ids and distance bits of each ranking.
+fn bits(rankings: &[Vec<(usize, f64)>]) -> Vec<Vec<(usize, u64)>> {
+    rankings
+        .iter()
+        .map(|ranked| ranked.iter().map(|&(r, d)| (r, d.to_bits())).collect())
+        .collect()
+}
+
+/// `RepStore::top_k_batch`'s fan-out over fixed row chunks, on a flat store
+/// with a row predicate: 20,000 rows make three chunks, and with the
+/// parallelism threshold forced to zero the pool engages at 4 threads and
+/// stays serial at 1. Both runs agree in ids and distance bits, and both
+/// equal the scalar oracle over every row, filtered by the same predicate
+/// and cut to k. The 20 queries scanned as one batch, whose chunk winners
+/// merge per query in chunk order, give the same bits at both settings.
 #[test]
 fn flat_scan_fan_out_is_thread_count_independent() {
     const K: usize = 10;
     let reps = Arc::new(blob_matrix(20_000, 8, 16, 31));
     let n = reps.rows();
     let queries: Vec<usize> = (0..20).map(|i| i * 997 + 1).collect();
-    let keep = |q: usize, r: usize| r != q && !r.is_multiple_of(3);
+    let filter = |r: usize| !r.is_multiple_of(3);
+    let keep = |q: usize, r: usize| r != q && filter(r);
     for metric in [DistanceMetric::Cosine, DistanceMetric::Euclidean] {
         let store = RepStore::flat(Arc::clone(&reps), metric);
         let scan = || -> Vec<Vec<(usize, f64)>> {
             queries
                 .iter()
-                .map(|&q| {
-                    let pq = store.prepare(reps.row(q));
-                    store.top_k(&pq, K, |r| keep(q, r))
-                })
+                .map(|&q| store.top_k_batch(&[q], K, |r| keep(q, r)).remove(0))
                 .collect()
         };
         hlm_par::set_par_threshold(Some(0));
         hlm_par::set_threads(1);
         let serial = scan();
+        let serial_batch = store.top_k_batch(&queries, K, filter);
         hlm_par::set_threads(4);
         let parallel = scan();
+        let parallel_batch = store.top_k_batch(&queries, K, filter);
         hlm_par::set_threads(0);
         hlm_par::set_par_threshold(None);
+        for batch in [&serial_batch, &parallel_batch] {
+            assert_eq!(bits(batch), bits(&serial), "{metric:?} batch of 20");
+        }
         for ((&q, s), p) in queries.iter().zip(&serial).zip(&parallel) {
             assert_eq!(s.len(), p.len(), "{metric:?} q={q}");
             for (a, b) in s.iter().zip(p) {
@@ -177,6 +168,37 @@ fn filtered_scan_equals_scalar_oracle_filtered_and_cut_to_k() {
                     );
                 }
             }
+            // The same queries, one of them twice, as one batch: on the app
+            // as built, then through a cache, cold and warm.
+            let batch: Vec<CompanyId> = [0u32, 7, 150, 299, 7].map(CompanyId).to_vec();
+            let oracle: Vec<Vec<(usize, u64)>> = batch
+                .iter()
+                .map(|q| {
+                    top_k_similar_scalar(&reps, q.index(), n - 1, metric)
+                        .into_iter()
+                        .filter(|&(r, _)| filter.matches(&corpus, CompanyId(r as u32)))
+                        .take(K)
+                        .map(|(r, d)| (r, d.to_bits()))
+                        .collect()
+                })
+                .collect();
+            let cache = Arc::new(ServingCache::new(1_000));
+            let cached = SalesApplication::new(Arc::clone(&corpus), Arc::clone(&reps), metric)
+                .expect("matching rows")
+                .with_cache(Arc::clone(&cache));
+            for (pass, app) in [("uncached", &app), ("cold", &cached), ("warm", &cached)] {
+                let answers = app.find_similar_batch(&batch, K, filter).expect("in range");
+                let got: Vec<Vec<(usize, u64)>> = answers
+                    .iter()
+                    .map(|a| {
+                        a.iter()
+                            .map(|s| (s.id.index(), s.distance.to_bits()))
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(got, oracle, "{metric:?} {filter:?} {pass} batch");
+            }
+            assert_eq!(cache.len(), 4, "one answer per distinct query");
         }
     }
 }
