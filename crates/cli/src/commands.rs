@@ -680,7 +680,7 @@ pub(crate) fn serve_until(
         std::fs::write(path, addr.port().to_string())
             .map_err(|e| CliError::Data(format!("cannot write port file {path}: {e}")))?;
     }
-    // Announce readiness on stdout *before* blocking in the accept loop —
+    // Announce readiness on stdout *before* `run` blocks until the stop —
     // operators and scripts key off this line, not the exit summary.
     println!("note: {note}");
     println!("serving {label} (generation {generation}) on http://{addr} — SIGTERM drains");

@@ -54,7 +54,7 @@
 //! The worker count comes from, in priority order: an explicit
 //! [`Pool::new`], the process-wide [`set_threads`] override (the engine's
 //! `--threads` option), the `HLM_THREADS` environment variable, and finally
-//! [`std::thread::available_parallelism`].
+//! [`std::thread::available_parallelism`], detected once per process.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -76,8 +76,12 @@ pub fn set_threads(n: usize) {
 
 /// The worker count [`Pool::global`] would use right now: the
 /// [`set_threads`] override if set, else `HLM_THREADS` if parsable and
-/// positive, else [`std::thread::available_parallelism`] (1 when detection
-/// fails).
+/// positive, else the host's parallelism (1 when detection fails). The
+/// override and the variable are read on every call; the host's
+/// parallelism is detected once per process, because
+/// [`std::thread::available_parallelism`] re-reads the CPU quota on each
+/// call (tens of µs on a cgroup host), so a quota change after the first
+/// detection is not seen.
 pub fn effective_threads() -> usize {
     let over = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if over > 0 {
@@ -90,7 +94,14 @@ pub fn effective_threads() -> usize {
             }
         }
     }
-    thread::available_parallelism().map_or(1, |n| n.get())
+    detected_threads()
+}
+
+/// [`std::thread::available_parallelism`] (1 when detection fails), asked
+/// once per process.
+fn detected_threads() -> usize {
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    *DETECTED.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 // ---------------------------------------------------------------------------
@@ -961,6 +972,30 @@ mod tests {
         assert_eq!(Pool::global().threads(), 5);
         set_threads(0);
         assert!(effective_threads() >= 1);
+    }
+
+    #[test]
+    fn override_and_variable_win_after_detection() {
+        let _g = lock();
+        let outside = std::env::var_os("HLM_THREADS");
+        let detected = detected_threads();
+        assert!(detected >= 1);
+        // Every test that reads the environment holds the lock, and std
+        // serializes its own environment reads and writes.
+        std::env::set_var("HLM_THREADS", "3");
+        assert_eq!(effective_threads(), 3);
+        set_threads(5);
+        assert_eq!(effective_threads(), 5);
+        assert_eq!(Pool::global().threads(), 5);
+        set_threads(0);
+        assert_eq!(effective_threads(), 3);
+        std::env::set_var("HLM_THREADS", "0");
+        assert_eq!(effective_threads(), detected);
+        std::env::remove_var("HLM_THREADS");
+        assert_eq!(effective_threads(), detected);
+        if let Some(v) = outside {
+            std::env::set_var("HLM_THREADS", v);
+        }
     }
 
     #[test]

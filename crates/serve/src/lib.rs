@@ -23,10 +23,18 @@
 //!   from [`CheckpointStore::latest_good`]), canary-probes it, and either
 //!   installs it atomically (generation-stamped, serving cache
 //!   invalidated) or rolls back, counting `serve.rollback`.
+//! - **Bounded handlers** — handler threads block in `accept` on the
+//!   shared listener and each serves the connection it takes until that
+//!   connection ends; no thread is spawned per connection. The set starts
+//!   at one and grows only when a handler takes a connection while no
+//!   other waits in `accept`, up to `workers × batch_max +
+//!   queue_capacity + 1`.
+//!   Connections beyond that wait in the kernel's accept backlog, so a
+//!   flood of idle connections cannot grow the thread count.
 //! - **Graceful drain** — on shutdown (SIGTERM via
 //!   [`install_term_handler`], or [`ServerHandle::shutdown`]) the server
-//!   stops accepting, flushes the queue so every admitted request is
-//!   answered, and waits for connections to finish.
+//!   wakes every handler out of `accept`, flushes the queue so every
+//!   admitted request is answered, and waits for connections to finish.
 //!
 //! Protocol defence (timeouts, size limits, malformed-input handling)
 //! lives in [`http`]; the fault drills in `tests/` drive a real server
@@ -48,7 +56,7 @@ use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -234,7 +242,12 @@ struct Shared {
     loader: Option<BundleLoader>,
     queue: AdmissionQueue<Job>,
     draining: AtomicBool,
+    /// Connections a handler is serving.
     conns: AtomicUsize,
+    /// Handler threads started, at most [`handler_limit`].
+    handlers: AtomicUsize,
+    /// Handlers waiting in `accept`: the ones a stop has to wake.
+    accepting: AtomicUsize,
     /// Serializes `/admin/swap` so two concurrent swaps cannot interleave
     /// canary and install.
     swap_lock: Mutex<()>,
@@ -244,21 +257,39 @@ fn read_bundle(shared: &Shared) -> Arc<ModelBundle> {
     Arc::clone(&shared.bundle.read().unwrap_or_else(|e| e.into_inner()))
 }
 
+/// Most handler threads a server starts: one per job the batch workers can
+/// hold at once (`workers × batch_max`), one per admission-queue slot, and
+/// one to answer the request that is shed. A request the server would
+/// admit or shed therefore always finds a handler, so overload still ends
+/// in `503`s rather than in the backlog. A connection beyond them waits in
+/// the listener's backlog until a handler is free.
+fn handler_limit(config: &ServerConfig) -> usize {
+    config
+        .workers
+        .max(1)
+        .saturating_mul(config.batch_max.max(1))
+        .saturating_add(config.queue_capacity.max(1))
+        .saturating_add(1)
+}
+
 /// A bound, not-yet-running server. [`run`](Server::run) blocks (CLI use);
-/// [`start`](Server::start) spawns it onto a thread and returns a handle
-/// (test and embedded use).
+/// [`start`](Server::start) returns a handle that stops it (test and
+/// embedded use).
 pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
     shared: Arc<Shared>,
 }
 
-/// The threads a running accept loop owns: the batch workers, and the stop
-/// watcher, which exits once `loop_done` is dropped.
-struct Threads {
+/// A started server: its batch workers, and the listener its handlers
+/// accept on. Handlers hold the listener weakly, so it closes when
+/// [`Running::drain`] returns.
+struct Running {
+    shared: Arc<Shared>,
+    listener: Arc<TcpListener>,
+    stop: Arc<AtomicBool>,
     workers: Vec<JoinHandle<()>>,
-    watcher: JoinHandle<()>,
-    loop_done: mpsc::Sender<()>,
+    wake_addr: SocketAddr,
 }
 
 impl Server {
@@ -284,6 +315,8 @@ impl Server {
                 queue,
                 draining: AtomicBool::new(false),
                 conns: AtomicUsize::new(0),
+                handlers: AtomicUsize::new(0),
+                accepting: AtomicUsize::new(0),
                 swap_lock: Mutex::new(()),
             }),
         })
@@ -294,19 +327,24 @@ impl Server {
         self.addr
     }
 
-    /// Starts the batch workers and the stop watcher. If one cannot start,
+    /// Starts the batch workers and the first handler. If one cannot start,
     /// the workers already running are stopped and joined.
-    fn spawn_threads(&self, stop: &Arc<AtomicBool>) -> std::io::Result<Threads> {
+    fn launch(self, stop: Arc<AtomicBool>) -> std::io::Result<Running> {
+        let Server {
+            listener,
+            addr,
+            shared,
+        } = self;
         let mut workers = Vec::new();
         let abandon = |workers: Vec<JoinHandle<()>>, e| {
-            self.shared.queue.close();
+            shared.queue.close();
             for w in workers {
                 let _ = w.join();
             }
             e
         };
-        for i in 0..self.shared.config.workers.max(1) {
-            let shared = Arc::clone(&self.shared);
+        for i in 0..shared.config.workers.max(1) {
+            let shared = Arc::clone(&shared);
             let spawned = std::thread::Builder::new()
                 .name(format!("hlm-serve-worker-{i}"))
                 .spawn(move || worker_loop(&shared));
@@ -315,19 +353,22 @@ impl Server {
                 Err(e) => return Err(abandon(workers, e)),
             }
         }
-        let (loop_done, loop_exited) = mpsc::channel::<()>();
-        let (stop, wake_addr) = (Arc::clone(stop), wake_address(self.addr));
-        let spawned = std::thread::Builder::new()
-            .name("hlm-serve-wake".into())
-            .spawn(move || wake_on_stop(&stop, wake_addr, &loop_exited));
-        match spawned {
-            Ok(watcher) => Ok(Threads {
-                workers,
-                watcher,
-                loop_done,
-            }),
-            Err(e) => Err(abandon(workers, e)),
+        let listener = Arc::new(listener);
+        let first = Handler {
+            shared: Arc::clone(&shared),
+            listener: Arc::downgrade(&listener),
+            stop: Arc::clone(&stop),
+        };
+        if let Err(e) = first.spawn_another() {
+            return Err(abandon(workers, e));
         }
+        Ok(Running {
+            shared,
+            listener,
+            stop,
+            workers,
+            wake_addr: wake_address(addr),
+        })
     }
 
     /// Serve until `stop` turns true, then drain: stop accepting, flush
@@ -335,39 +376,129 @@ impl Server {
     /// in-flight connections (bounded by `drain_grace_millis`), and zero
     /// the queue-depth gauge.
     ///
-    /// The accept loop blocks in `accept`, so a connection is taken as soon
-    /// as it arrives. A watcher thread wakes the loop when `stop` turns
-    /// true, whoever flips it: [`ServerHandle::shutdown`], its drop, or the
-    /// handler of [`install_term_handler`].
+    /// Connections are served by handler threads that block in `accept`,
+    /// so a connection is taken as soon as it arrives. The calling thread
+    /// reads `stop` every 20 ms, whoever flips it (the handler of
+    /// [`install_term_handler`], say), and then wakes every handler.
     ///
     /// # Errors
-    /// A batch worker or the stop watcher thread could not be spawned; the
-    /// server then accepts nothing.
+    /// A batch worker or the first handler thread could not be spawned;
+    /// the server then accepts nothing.
     pub fn run(self, stop: Arc<AtomicBool>) -> std::io::Result<()> {
-        let threads = self.spawn_threads(&stop)?;
-        self.serve(&stop, threads);
+        self.launch(stop)?.drain();
         Ok(())
     }
 
-    /// The accept loop and the drain behind [`Server::run`].
-    fn serve(self, stop: &AtomicBool, threads: Threads) {
-        let Server {
-            listener, shared, ..
-        } = self;
-        while !stop.load(Ordering::SeqCst) {
-            match listener.accept() {
+    /// Serve on background threads; the returned handle stops the server
+    /// and drains it on [`ServerHandle::shutdown`] or drop.
+    ///
+    /// # Errors
+    /// A batch worker or the first handler thread could not be spawned.
+    pub fn start(self) -> std::io::Result<ServerHandle> {
+        let addr = self.addr;
+        let running = self.launch(Arc::new(AtomicBool::new(false)))?;
+        Ok(ServerHandle {
+            addr,
+            shared: Arc::clone(&running.shared),
+            running: Some(running),
+        })
+    }
+}
+
+impl Running {
+    /// Wait for `stop`, wake every handler out of `accept`, then drain:
+    /// refuse new work, flush what was admitted, and let connections
+    /// finish writing.
+    fn drain(self) {
+        let shared = &self.shared;
+        wake_on_stop(&self.stop, self.wake_addr, &shared.accepting);
+        shared.draining.store(true, Ordering::SeqCst);
+        shared.queue.close();
+        for w in self.workers {
+            let _ = w.join();
+        }
+        let grace = Duration::from_millis(shared.config.drain_grace_millis);
+        let gone = Instant::now() + grace;
+        while shared.conns.load(Ordering::SeqCst) > 0 && Instant::now() < gone {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        hlm_obs::global().set_gauge(names::SERVE_QUEUE_DEPTH, 0.0);
+        // No handler holds the listener any more: this closes it.
+        drop(self.listener);
+    }
+}
+
+/// What a handler thread runs on: the serving state, the listener (weakly
+/// held, see [`Running`]) and the stop flag.
+#[derive(Clone)]
+struct Handler {
+    shared: Arc<Shared>,
+    listener: Weak<TcpListener>,
+    stop: Arc<AtomicBool>,
+}
+
+impl Handler {
+    /// Start one more handler thread, unless [`handler_limit`] have been
+    /// started. The thread is detached: a drain waits for connections, up
+    /// to its grace period, not for handlers.
+    fn spawn_another(&self) -> std::io::Result<()> {
+        let limit = handler_limit(&self.shared.config);
+        let counted = self
+            .shared
+            .handlers
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < limit).then_some(n + 1)
+            });
+        if counted.is_err() {
+            return Ok(());
+        }
+        let handler = self.clone();
+        let spawned = std::thread::Builder::new()
+            .name("hlm-serve-handler".into())
+            .spawn(move || handler.serve());
+        if let Err(e) = spawned {
+            self.shared.handlers.fetch_sub(1, Ordering::SeqCst);
+            return Err(e);
+        }
+        Ok(())
+    }
+
+    /// Take connections from the listener and serve each until it ends,
+    /// until the server stops. A handler counts itself in `accepting`
+    /// before it reads `stop`, so a stop either is seen here or finds this
+    /// handler counted and wakes it.
+    fn serve(&self) {
+        let shared = &self.shared;
+        loop {
+            shared.accepting.fetch_add(1, Ordering::SeqCst);
+            let listener = if self.stop.load(Ordering::SeqCst) {
+                None
+            } else {
+                self.listener.upgrade()
+            };
+            let Some(listener) = listener else {
+                shared.accepting.fetch_sub(1, Ordering::SeqCst);
+                return;
+            };
+            let accepted = listener.accept();
+            drop(listener);
+            let others_waiting = shared.accepting.fetch_sub(1, Ordering::SeqCst) > 1;
+            match accepted {
                 Ok((stream, _peer)) => {
-                    shared.conns.fetch_add(1, Ordering::SeqCst);
-                    let conn_shared = Arc::clone(&shared);
-                    let spawned = std::thread::Builder::new()
-                        .name("hlm-serve-conn".into())
-                        .spawn(move || {
-                            handle_conn(&conn_shared, stream);
-                            conn_shared.conns.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    if spawned.is_err() {
-                        shared.conns.fetch_sub(1, Ordering::SeqCst);
+                    // Keep a handler in `accept` while this one serves. A
+                    // failed spawn leaves the next connection in the
+                    // backlog until a handler is free.
+                    if !others_waiting {
+                        let _ = self.spawn_another();
                     }
+                    // A panic while serving ends only this connection:
+                    // the handler serves on, so panics cannot use up the
+                    // handler limit.
+                    shared.conns.fetch_add(1, Ordering::SeqCst);
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        handle_conn(shared, stream)
+                    }));
+                    shared.conns.fetch_sub(1, Ordering::SeqCst);
                 }
                 // A signal, or a peer that reset before it was taken: the
                 // next connection may already be waiting.
@@ -379,64 +510,14 @@ impl Server {
                 Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         }
-        drop(threads.loop_done);
-        let _ = threads.watcher.join();
-
-        // Drain: refuse new work, flush what was admitted, then let
-        // connections finish writing.
-        shared.draining.store(true, Ordering::SeqCst);
-        shared.queue.close();
-        for w in threads.workers {
-            let _ = w.join();
-        }
-        let grace = Duration::from_millis(shared.config.drain_grace_millis);
-        let gone = Instant::now() + grace;
-        while shared.conns.load(Ordering::SeqCst) > 0 && Instant::now() < gone {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        hlm_obs::global().set_gauge(names::SERVE_QUEUE_DEPTH, 0.0);
-    }
-
-    /// Run on a background thread; the returned handle shuts the server
-    /// down (and drains it) on [`ServerHandle::shutdown`] or drop.
-    ///
-    /// # Errors
-    /// The accept thread, a batch worker or the stop watcher could not be
-    /// spawned.
-    pub fn start(self) -> std::io::Result<ServerHandle> {
-        let addr = self.addr;
-        let stop = Arc::new(AtomicBool::new(false));
-        let shared = Arc::clone(&self.shared);
-        let threads = self.spawn_threads(&stop)?;
-        let spawned = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("hlm-serve-accept".into())
-                .spawn(move || self.serve(&stop, threads))
-        };
-        let thread = match spawned {
-            Ok(thread) => thread,
-            Err(e) => {
-                // The unstarted loop took the thread handles with it: the
-                // watcher exits on its dropped channel, the workers once
-                // the queue closes.
-                shared.queue.close();
-                return Err(e);
-            }
-        };
-        Ok(ServerHandle {
-            addr,
-            stop,
-            shared,
-            thread: Some(thread),
-        })
     }
 }
 
 /// Pause after an accept error that retrying at once would repeat.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
-/// How often the stop watcher reads the flag. It is off the request path:
-/// it only bounds how long a stop waits before the drain starts.
+/// How often a running server reads its stop flag, and how long one round
+/// of wake connects waits for the handlers to leave `accept`. Off the
+/// request path: it only bounds how long a stop waits before the drain.
 const WAKE_POLL: Duration = Duration::from_millis(20);
 /// Cap on one wake connect, so a full accept backlog cannot hang it.
 const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
@@ -454,19 +535,29 @@ fn wake_address(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// Wake the accept loop, blocked in `accept`, once `stop` turns true. A
-/// signal handler can only store the flag, and SIGTERM does not interrupt
-/// `accept` (`signal(2)` installs the handler with `SA_RESTART`), so the
-/// watcher reads the flag every [`WAKE_POLL`] and then connects to the
-/// listener: `accept` returns and the loop sees the flag. A failed connect
-/// is retried until the loop has exited, which `loop_exited` reports by
-/// disconnecting.
-fn wake_on_stop(stop: &AtomicBool, addr: SocketAddr, loop_exited: &mpsc::Receiver<()>) {
-    while let Err(mpsc::RecvTimeoutError::Timeout) = loop_exited.recv_timeout(WAKE_POLL) {
-        if stop.load(Ordering::SeqCst)
-            && TcpStream::connect_timeout(&addr, WAKE_CONNECT_TIMEOUT).is_ok()
-        {
+/// Wait until `stop` turns true, then wake every handler blocked in
+/// `accept`. A signal handler can only store the flag, and SIGTERM does not
+/// interrupt `accept` (`signal(2)` installs the handler with `SA_RESTART`),
+/// so the flag is read every [`WAKE_POLL`]. Then one connect per handler
+/// counted in `accepting` makes its `accept` return, and the handler sees
+/// the flag. A round that leaves a handler waiting (a connect failed, or a
+/// client's connection was taken instead) is followed by another, until no
+/// handler is left in `accept`.
+fn wake_on_stop(stop: &AtomicBool, addr: SocketAddr, accepting: &AtomicUsize) {
+    while !stop.load(Ordering::SeqCst) {
+        std::thread::sleep(WAKE_POLL);
+    }
+    loop {
+        let waiting = accepting.load(Ordering::SeqCst);
+        if waiting == 0 {
             return;
+        }
+        for _ in 0..waiting {
+            let _ = TcpStream::connect_timeout(&addr, WAKE_CONNECT_TIMEOUT);
+        }
+        let round = Instant::now() + WAKE_POLL;
+        while accepting.load(Ordering::SeqCst) > 0 && Instant::now() < round {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 }
@@ -474,9 +565,8 @@ fn wake_on_stop(stop: &AtomicBool, addr: SocketAddr, loop_exited: &mpsc::Receive
 /// Handle to a running server (see [`Server::start`]).
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     shared: Arc<Shared>,
-    thread: Option<JoinHandle<()>>,
+    running: Option<Running>,
 }
 
 impl ServerHandle {
@@ -490,8 +580,10 @@ impl ServerHandle {
         read_bundle(&self.shared).generation
     }
 
-    /// Connection threads currently alive — the hung-thread check in the
-    /// fault drills asserts this returns to zero.
+    /// Connections being served right now. Each is served by one handler
+    /// thread, so this never exceeds the handler limit, `workers ×
+    /// batch_max + queue_capacity + 1`; the hung-connection check in the
+    /// fault drills asserts it returns to zero.
     pub fn active_connections(&self) -> usize {
         self.shared.conns.load(Ordering::SeqCst)
     }
@@ -501,22 +593,22 @@ impl ServerHandle {
         self.shared.queue.len()
     }
 
-    /// Stop accepting, drain, and join the server thread.
+    /// Stop accepting, drain, and return once drained.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
+        self.stop_and_drain();
     }
 
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+    fn stop_and_drain(&mut self) {
+        if let Some(running) = self.running.take() {
+            running.stop.store(true, Ordering::SeqCst);
+            running.drain();
         }
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop_and_join();
+        self.stop_and_drain();
     }
 }
 
@@ -988,7 +1080,20 @@ pub fn install_term_handler() -> Arc<AtomicBool> {
 
 #[cfg(test)]
 mod tests {
-    use super::wake_address;
+    use super::{handler_limit, wake_address, ServerConfig};
+
+    #[test]
+    fn handler_limit_covers_every_job_the_server_can_hold_plus_the_shed() {
+        assert_eq!(handler_limit(&ServerConfig::default()), 2 * 16 + 256 + 1);
+        let tiny = ServerConfig {
+            workers: 0,
+            queue_capacity: 0,
+            batch_max: 0,
+            ..ServerConfig::default()
+        };
+        // The server runs at least one worker taking one job, and one slot.
+        assert_eq!(handler_limit(&tiny), 3);
+    }
 
     #[test]
     fn wake_address_swaps_only_an_unspecified_ip_for_loopback() {

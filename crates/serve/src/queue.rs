@@ -2,7 +2,7 @@
 //!
 //! The server's first line of defence: every query must win a slot here
 //! before any model work happens. When the queue is full the connection
-//! thread sheds the request immediately (HTTP 503 + `Retry-After`) instead
+//! handler sheds the request immediately (HTTP 503 + `Retry-After`) instead
 //! of queueing unboundedly — under overload, latency of *accepted* requests
 //! stays bounded and the excess is refused cheaply.
 //!

@@ -108,7 +108,7 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
     }
 }
 
-/// Poll until no connection threads remain — the hung-thread check.
+/// Poll until no connection is being served — the hung-connection check.
 fn assert_no_hung_connections(handle: &ServerHandle) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while handle.active_connections() > 0 {
@@ -337,6 +337,36 @@ fn a_panicking_batch_answers_500_and_the_worker_keeps_serving() {
         .find(|(name, _)| name == hlm_obs::names::SERVE_WORKER_PANICS)
         .map_or(0, |&(_, n)| n);
     assert_eq!(panics, 1);
+    handle.shutdown();
+}
+
+#[test]
+fn a_panic_while_serving_ends_its_connection_and_the_handler_serves_on() {
+    let engine = engine();
+    // One worker taking one job, one queue slot: three handlers at most.
+    let config = ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        batch_max: 1,
+        ..ServerConfig::default()
+    };
+    let loader: hlm_serve::BundleLoader = Box::new(|| panic!("injected loader panic"));
+    let b = bundle(&engine, trained_model(&engine));
+    let handle = Server::bind(config, Arc::clone(&engine), b, Some(loader))
+        .unwrap()
+        .start()
+        .unwrap();
+    let addr = handle.addr();
+    // More panics than there are handlers: each costs only its connection.
+    for _ in 0..4 {
+        let (status, text) = request(
+            addr,
+            "POST /admin/swap HTTP/1.1\r\nconnection: close\r\n\r\n",
+        );
+        assert_eq!(status, 0, "the panicking swap's connection closes: {text}");
+    }
+    assert_eq!(get(addr, "/healthz").0, 200);
+    assert_no_hung_connections(&handle);
     handle.shutdown();
 }
 
@@ -615,6 +645,68 @@ fn network_fault_suite_never_hangs_the_server() {
     let (status, text) = get(addr, "/v1/similar?company=1&k=3");
     assert_eq!(status, 200, "{text}");
     assert_eq!(handle.queue_len(), 0, "no poisoned jobs left behind");
+    handle.shutdown();
+}
+
+#[test]
+fn a_connection_flood_waits_in_the_backlog_and_never_hangs_a_query() {
+    let engine = engine();
+    let config = ServerConfig {
+        workers: 1,
+        queue_capacity: 2,
+        batch_max: 1,
+        read_timeout_millis: 300,
+        ..ServerConfig::default()
+    };
+    let read_timeout = Duration::from_millis(config.read_timeout_millis);
+    // One handler per job the worker holds, one per queue slot, one to
+    // answer the shed.
+    let handlers = config.workers * config.batch_max + config.queue_capacity + 1;
+    let idle_conns: usize = 12;
+    let b = bundle(&engine, trained_model(&engine));
+    let handle = Server::bind(config, Arc::clone(&engine), b, None)
+        .unwrap()
+        .start()
+        .unwrap();
+    let addr = handle.addr();
+
+    // Idle connections hold a handler each until the read timeout answers
+    // them 408, so the query behind them waits at most one timeout per
+    // round of `handlers` connections, plus its own round.
+    let rounds = idle_conns.div_ceil(handlers) as u32;
+    let bound = read_timeout * (rounds + 1) + Duration::from_secs(2);
+    let watching = AtomicBool::new(true);
+    let (peak, (status, text), waited) = std::thread::scope(|s| {
+        let monitor = s.spawn(|| {
+            let mut peak = 0;
+            while watching.load(Ordering::SeqCst) {
+                peak = peak.max(handle.active_connections());
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            peak
+        });
+        let idle: Vec<TcpStream> = (0..idle_conns)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        let sent = Instant::now();
+        let answer = get(addr, "/v1/similar?company=3&k=5");
+        let waited = sent.elapsed();
+        watching.store(false, Ordering::SeqCst);
+        drop(idle);
+        (monitor.join().unwrap(), answer, waited)
+    });
+    assert!(
+        peak <= handlers,
+        "{peak} connections served at once; the handler limit is {handlers}"
+    );
+    assert!(matches!(status, 200 | 503), "{text}");
+    assert!(
+        waited < bound,
+        "the query behind the flood waited {waited:?}, over {bound:?}"
+    );
+
+    assert_eq!(get(addr, "/healthz").0, 200);
+    assert_no_hung_connections(&handle);
     handle.shutdown();
 }
 
