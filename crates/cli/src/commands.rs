@@ -673,6 +673,7 @@ pub(crate) fn serve_until(
     };
     let label = bundle.label.clone();
     let generation = bundle.generation;
+    let handler_limit = server_config.handler_limit();
     let server = Server::bind(server_config, engine, bundle, loader)
         .map_err(|e| CliError::Data(format!("cannot bind 127.0.0.1:{}: {e}", flags.port)))?;
     let addr = server.local_addr();
@@ -683,7 +684,10 @@ pub(crate) fn serve_until(
     // Announce readiness on stdout *before* `run` blocks until the stop —
     // operators and scripts key off this line, not the exit summary.
     println!("note: {note}");
-    println!("serving {label} (generation {generation}) on http://{addr} — SIGTERM drains");
+    println!(
+        "serving {label} (generation {generation}) on http://{addr}, up to {handler_limit} \
+         connections at once — SIGTERM drains"
+    );
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server

@@ -822,48 +822,8 @@ pub fn write_corpus_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hlm_peakalloc::{largest_request, PeakAlloc};
     use proptest::prelude::*;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    /// The test binary's allocator: the system one, noting the largest
-    /// single request each thread makes, so the decoder sweep can catch a
-    /// buffer sized by a header field instead of by the bytes at hand.
-    struct PeakAlloc;
-
-    thread_local! {
-        static PEAK: Cell<usize> = const { Cell::new(0) };
-    }
-
-    fn note(size: usize) {
-        // `try_with`: a thread being torn down has no slot left.
-        let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
-    }
-
-    // SAFETY: every method forwards its arguments unchanged to `System`,
-    // which upholds the `GlobalAlloc` contract; `note` only updates a
-    // const-initialised thread-local `Cell`, which neither allocates nor
-    // unwinds.
-    unsafe impl GlobalAlloc for PeakAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            note(layout.size());
-            System.alloc(layout)
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            note(layout.size());
-            System.alloc_zeroed(layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            note(new_size);
-            System.realloc(ptr, layout, new_size)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-    }
 
     #[global_allocator]
     static ALLOC: PeakAlloc = PeakAlloc;
@@ -875,10 +835,8 @@ mod tests {
     /// (an 80-byte `Company` per record, a doubling event `Vec`) needs more
     /// than three bytes per input byte.
     fn decode_both(bytes: &[u8]) -> DecodeResult<Vec<Company>> {
-        PEAK.with(|p| p.set(0));
-        let sets = decode_product_sets(bytes, 38);
-        let companies = decode_companies(bytes, 38);
-        let peak = PEAK.with(Cell::get);
+        let ((sets, companies), peak) =
+            largest_request(|| (decode_product_sets(bytes, 38), decode_companies(bytes, 38)));
         assert!(
             peak <= 64 + 3 * bytes.len(),
             "a {}-byte input reserved {peak} bytes",

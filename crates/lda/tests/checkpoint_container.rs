@@ -6,52 +6,12 @@
 //! give a model or a typed error from `GibbsTrainer::model_from_checkpoint`,
 //! never a panic.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::OnceLock;
 
 use hlm_lda::{GibbsTrainer, LdaConfig, WeightedDoc, GIBBS_CHECKPOINT_KIND};
+use hlm_peakalloc::{largest_request, PeakAlloc};
 use hlm_resilience::{Checkpoint, CheckpointStore, MemIo, ResilienceError, TrainControl};
 use proptest::prelude::*;
-
-/// The test binary's allocator: the system one, noting the largest single
-/// request each thread makes, so a buffer sized by a header field instead
-/// of by the bytes at hand shows up.
-struct PeakAlloc;
-
-thread_local! {
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    // `try_with`: a thread being torn down has no slot left.
-    let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; `note` only updates a
-// const-initialised thread-local `Cell`, which neither allocates nor
-// unwinds.
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc;
@@ -96,9 +56,7 @@ fn saved() -> &'static (Checkpoint, Vec<u8>) {
 /// `Checkpoint::decode`, failing the test if it reserves more than the
 /// input holds: a decoded checkpoint copies at most the input's bytes.
 fn decode(bytes: &[u8]) -> Result<Checkpoint, ResilienceError> {
-    PEAK.with(|p| p.set(0));
-    let decoded = Checkpoint::decode(bytes);
-    let peak = PEAK.with(Cell::get);
+    let (decoded, peak) = largest_request(|| Checkpoint::decode(bytes));
     assert!(
         peak <= 64 + bytes.len(),
         "decoding {} bytes reserved {peak} bytes",

@@ -4,9 +4,9 @@
 //! every feature is attack surface. The parser is strict about limits
 //! (request-line and header sizes, header count, body size) and maps every
 //! failure to a precise [`HttpError`] so the connection loop can answer with
-//! the right status code and close cleanly. Read timeouts installed on the
-//! socket surface as [`HttpError::Timeout`], which is how slow-loris clients
-//! get disconnected instead of pinning a thread.
+//! the right status code and close cleanly. A read that runs out of its
+//! request's time budget surfaces as [`HttpError::Timeout`], which is how
+//! slow-loris clients get disconnected instead of pinning a handler.
 
 use std::io::{self, BufRead, Write};
 
@@ -240,7 +240,8 @@ impl Response {
         self
     }
 
-    /// Serialize onto the wire. `close` controls the `Connection` header.
+    /// Serialize onto the wire in one write. `close` controls the
+    /// `Connection` header.
     pub fn write_to(&self, w: &mut impl Write, close: bool) -> io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
@@ -257,8 +258,9 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&self.body);
+        w.write_all(&wire)?;
         w.flush()
     }
 }

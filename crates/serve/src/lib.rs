@@ -28,9 +28,12 @@
 //!   connection ends; no thread is spawned per connection. The set starts
 //!   at one and grows only when a handler takes a connection while no
 //!   other waits in `accept`, up to `workers × batch_max +
-//!   queue_capacity + 1`.
+//!   queue_capacity + 1` ([`ServerConfig::handler_limit`]).
 //!   Connections beyond that wait in the kernel's accept backlog, so a
-//!   flood of idle connections cannot grow the thread count.
+//!   flood of idle connections cannot grow the thread count. The wait is
+//!   bounded: a request gets one read budget however slowly its bytes
+//!   come, and while every handler is busy a keep-alive connection is
+//!   closed after its response, so waiting connections take turns.
 //! - **Graceful drain** — on shutdown (SIGTERM via
 //!   [`install_term_handler`], or [`ServerHandle::shutdown`]) the server
 //!   wakes every handler out of `accept`, flushes the queue so every
@@ -53,7 +56,7 @@ pub use replay::{
 };
 
 use std::collections::BTreeMap;
-use std::io::BufReader;
+use std::io::{BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock, Weak};
@@ -86,15 +89,34 @@ pub struct ServerConfig {
     pub batch_max: usize,
     /// Deadline applied when a request does not carry `deadline_ms`.
     pub default_deadline_millis: u64,
-    /// Socket read timeout — how long a slow client may dribble one
-    /// request before being disconnected with `408`.
+    /// How long one request may take to arrive, however its bytes are
+    /// spread: a client that has not sent a whole request this long after
+    /// the server starts reading for it is answered `408` and
+    /// disconnected.
     pub read_timeout_millis: u64,
-    /// Socket write timeout for responses.
+    /// How long one response may take to leave.
     pub write_timeout_millis: u64,
     /// Requests served per connection before it is recycled.
     pub max_requests_per_conn: usize,
     /// How long shutdown waits for in-flight connections to finish.
     pub drain_grace_millis: u64,
+}
+
+impl ServerConfig {
+    /// Most connections served at once, one handler thread each: one per
+    /// job the batch workers can hold at once (`workers × batch_max`), one
+    /// per admission-queue slot, and one to answer the request that is
+    /// shed. A request the server would admit or shed therefore always
+    /// finds a handler, so overload still ends in `503`s rather than in the
+    /// backlog. A connection beyond them waits in the listener's backlog
+    /// until a handler is free.
+    pub fn handler_limit(&self) -> usize {
+        self.workers
+            .max(1)
+            .saturating_mul(self.batch_max.max(1))
+            .saturating_add(self.queue_capacity.max(1))
+            .saturating_add(1)
+    }
 }
 
 impl Default for ServerConfig {
@@ -244,7 +266,7 @@ struct Shared {
     draining: AtomicBool,
     /// Connections a handler is serving.
     conns: AtomicUsize,
-    /// Handler threads started, at most [`handler_limit`].
+    /// Handler threads started, at most [`ServerConfig::handler_limit`].
     handlers: AtomicUsize,
     /// Handlers waiting in `accept`: the ones a stop has to wake.
     accepting: AtomicUsize,
@@ -257,19 +279,14 @@ fn read_bundle(shared: &Shared) -> Arc<ModelBundle> {
     Arc::clone(&shared.bundle.read().unwrap_or_else(|e| e.into_inner()))
 }
 
-/// Most handler threads a server starts: one per job the batch workers can
-/// hold at once (`workers × batch_max`), one per admission-queue slot, and
-/// one to answer the request that is shed. A request the server would
-/// admit or shed therefore always finds a handler, so overload still ends
-/// in `503`s rather than in the backlog. A connection beyond them waits in
-/// the listener's backlog until a handler is free.
-fn handler_limit(config: &ServerConfig) -> usize {
-    config
-        .workers
-        .max(1)
-        .saturating_mul(config.batch_max.max(1))
-        .saturating_add(config.queue_capacity.max(1))
-        .saturating_add(1)
+impl Shared {
+    /// Every handler the limit allows is serving a connection and none
+    /// waits in `accept`, so a new connection waits in the backlog until a
+    /// handler lets its connection go.
+    fn handlers_all_busy(&self) -> bool {
+        self.accepting.load(Ordering::SeqCst) == 0
+            && self.handlers.load(Ordering::SeqCst) >= self.config.handler_limit()
+    }
 }
 
 /// A bound, not-yet-running server. [`run`](Server::run) blocks (CLI use);
@@ -438,11 +455,12 @@ struct Handler {
 }
 
 impl Handler {
-    /// Start one more handler thread, unless [`handler_limit`] have been
-    /// started. The thread is detached: a drain waits for connections, up
-    /// to its grace period, not for handlers.
+    /// Start one more handler thread, unless
+    /// [`ServerConfig::handler_limit`] have been started. The thread is
+    /// detached: a drain waits for connections, up to its grace period, not
+    /// for handlers.
     fn spawn_another(&self) -> std::io::Result<()> {
-        let limit = handler_limit(&self.shared.config);
+        let limit = self.shared.config.handler_limit();
         let counted = self
             .shared
             .handlers
@@ -581,9 +599,9 @@ impl ServerHandle {
     }
 
     /// Connections being served right now. Each is served by one handler
-    /// thread, so this never exceeds the handler limit, `workers ×
-    /// batch_max + queue_capacity + 1`; the hung-connection check in the
-    /// fault drills asserts it returns to zero.
+    /// thread, so this never exceeds [`ServerConfig::handler_limit`]; the
+    /// hung-connection check in the fault drills asserts it returns to
+    /// zero.
     pub fn active_connections(&self) -> usize {
         self.shared.conns.load(Ordering::SeqCst)
     }
@@ -616,44 +634,98 @@ impl Drop for ServerHandle {
 // Connection path
 // ---------------------------------------------------------------------------
 
+/// One direction of a connection, under one deadline for a whole request
+/// (or response). Before each read or write the socket's timeout is set to
+/// the time left, so a peer that trickles a byte just inside each timeout
+/// still runs out of time, and a handler is held for at most one budget
+/// per request.
+struct Timed<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Timed<'_> {
+    /// Start a new budget: the next reads or writes share `budget` from now.
+    fn restart(&mut self, budget: Duration) -> &mut Self {
+        self.deadline = Instant::now() + budget;
+        self
+    }
+
+    /// The time left, or `TimedOut` once the deadline has passed.
+    fn left(&self) -> std::io::Result<Duration> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        Ok(left)
+    }
+}
+
+impl Read for Timed<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.left()?))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+impl Write for Timed<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.left()?))?;
+        let mut stream = self.stream;
+        stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 fn handle_conn(shared: &Shared, stream: TcpStream) {
     let cfg = &shared.config;
+    let read_budget = Duration::from_millis(cfg.read_timeout_millis.max(1));
+    let write_budget = Duration::from_millis(cfg.write_timeout_millis.max(1));
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_millis.max(1))));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_millis.max(1))));
     // `&TcpStream` reads and writes, so one descriptor serves both halves.
-    let mut reader = BufReader::new(&stream);
-    let mut writer = &stream;
+    let now = Instant::now();
+    let mut reader = BufReader::new(Timed {
+        stream: &stream,
+        deadline: now,
+    });
+    let mut writer = Timed {
+        stream: &stream,
+        deadline: now,
+    };
 
     for served in 0..cfg.max_requests_per_conn {
-        match http::read_request(&mut reader) {
+        reader.get_mut().restart(read_budget);
+        let (resp, close) = match http::read_request(&mut reader) {
             Ok(req) => {
-                let close = req.wants_close() || served + 1 == cfg.max_requests_per_conn;
                 let resp = route(shared, &req);
-                if resp.write_to(&mut writer, close).is_err() || close {
-                    break;
-                }
+                // With every handler busy, a keep-alive connection lets its
+                // handler go after this response, so connections waiting in
+                // the backlog take turns with it.
+                let close = req.wants_close()
+                    || served + 1 == cfg.max_requests_per_conn
+                    || shared.handlers_all_busy();
+                (resp, close)
             }
             // Clean end of a keep-alive conversation, or a transport error
             // the peer will never see a response to: just close.
             Err(HttpError::Eof) | Err(HttpError::Io(_)) => break,
-            // A slow-loris client ran out its read timeout: tell it (the
-            // write may itself fail — fine) and disconnect.
-            Err(HttpError::Timeout) => {
-                let _ =
-                    Response::json(408, err_body("request timed out")).write_to(&mut writer, true);
-                break;
-            }
-            Err(HttpError::Malformed(why)) => {
-                let _ = Response::json(400, err_body(&why)).write_to(&mut writer, true);
-                break;
-            }
+            // The request did not arrive within the read budget (a slow
+            // loris, or an idle keep-alive connection): tell the client
+            // (the write may itself fail — fine) and disconnect.
+            Err(HttpError::Timeout) => (Response::json(408, err_body("request timed out")), true),
+            Err(HttpError::Malformed(why)) => (Response::json(400, err_body(&why)), true),
             Err(HttpError::TooLarge(what)) => {
                 let status = if what == "body" { 413 } else { 431 };
-                let _ = Response::json(status, err_body(&format!("{what} too large")))
-                    .write_to(&mut writer, true);
-                break;
+                let body = err_body(&format!("{what} too large"));
+                (Response::json(status, body), true)
             }
+        };
+        if resp.write_to(writer.restart(write_budget), close).is_err() || close {
+            break;
         }
     }
 }
@@ -1080,11 +1152,11 @@ pub fn install_term_handler() -> Arc<AtomicBool> {
 
 #[cfg(test)]
 mod tests {
-    use super::{handler_limit, wake_address, ServerConfig};
+    use super::{wake_address, ServerConfig};
 
     #[test]
     fn handler_limit_covers_every_job_the_server_can_hold_plus_the_shed() {
-        assert_eq!(handler_limit(&ServerConfig::default()), 2 * 16 + 256 + 1);
+        assert_eq!(ServerConfig::default().handler_limit(), 2 * 16 + 256 + 1);
         let tiny = ServerConfig {
             workers: 0,
             queue_capacity: 0,
@@ -1092,7 +1164,7 @@ mod tests {
             ..ServerConfig::default()
         };
         // The server runs at least one worker taking one job, and one slot.
-        assert_eq!(handler_limit(&tiny), 3);
+        assert_eq!(tiny.handler_limit(), 3);
     }
 
     #[test]

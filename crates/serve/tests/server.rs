@@ -8,7 +8,7 @@
 //! worker on an [`AtomicBool`] the test controls, so "the worker is busy"
 //! is an observed fact, not a race.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -651,23 +651,11 @@ fn network_fault_suite_never_hangs_the_server() {
 #[test]
 fn a_connection_flood_waits_in_the_backlog_and_never_hangs_a_query() {
     let engine = engine();
-    let config = ServerConfig {
-        workers: 1,
-        queue_capacity: 2,
-        batch_max: 1,
-        read_timeout_millis: 300,
-        ..ServerConfig::default()
-    };
+    let config = four_handlers();
     let read_timeout = Duration::from_millis(config.read_timeout_millis);
-    // One handler per job the worker holds, one per queue slot, one to
-    // answer the shed.
-    let handlers = config.workers * config.batch_max + config.queue_capacity + 1;
+    let handlers = config.handler_limit();
     let idle_conns: usize = 12;
-    let b = bundle(&engine, trained_model(&engine));
-    let handle = Server::bind(config, Arc::clone(&engine), b, None)
-        .unwrap()
-        .start()
-        .unwrap();
+    let handle = start_with(&engine, config);
     let addr = handle.addr();
 
     // Idle connections hold a handler each until the read timeout answers
@@ -708,6 +696,167 @@ fn a_connection_flood_waits_in_the_backlog_and_never_hangs_a_query() {
     assert_eq!(get(addr, "/healthz").0, 200);
     assert_no_hung_connections(&handle);
     handle.shutdown();
+}
+
+/// The connection-limit drills' server: one worker taking one job, two
+/// queue slots and a 300 ms read budget, so four handlers.
+fn four_handlers() -> ServerConfig {
+    ServerConfig {
+        workers: 1,
+        queue_capacity: 2,
+        batch_max: 1,
+        read_timeout_millis: 300,
+        ..ServerConfig::default()
+    }
+}
+
+fn start_with(engine: &Arc<Engine>, config: ServerConfig) -> ServerHandle {
+    let b = bundle(engine, trained_model(engine));
+    Server::bind(config, Arc::clone(engine), b, None)
+        .unwrap()
+        .start()
+        .unwrap()
+}
+
+/// Reads one response off a keep-alive connection: its status, and
+/// whether the server closes the connection after it. `None` once the
+/// stream ends or fails.
+fn read_response(r: &mut impl BufRead) -> Option<(u16, bool)> {
+    let mut line = String::new();
+    r.read_line(&mut line).ok().filter(|&n| n > 0)?;
+    let status = parse_status(&line);
+    let (mut length, mut close) = (0, false);
+    loop {
+        line.clear();
+        r.read_line(&mut line).ok().filter(|&n| n > 0)?;
+        let header = line.trim_end().to_ascii_lowercase();
+        if header.is_empty() {
+            break;
+        }
+        if let Some(value) = header.strip_prefix("content-length:") {
+            length = value.trim().parse().ok()?;
+        }
+        close |= header == "connection: close";
+    }
+    let mut body = vec![0; length];
+    r.read_exact(&mut body).ok()?;
+    Some((status, close))
+}
+
+/// One busy client of the connection-limit drills: it sends to `addr`
+/// every `pace` while [`going`](Busy::going).
+struct Busy<'a> {
+    addr: SocketAddr,
+    pace: Duration,
+    until: Instant,
+    probed: &'a AtomicBool,
+    started: &'a AtomicUsize,
+}
+
+impl Busy<'_> {
+    /// Until the probe is answered, or for 20 read budgets at most.
+    fn going(&self) -> bool {
+        Instant::now() < self.until && !self.probed.load(Ordering::SeqCst)
+    }
+
+    /// Called once, when the client is under way.
+    fn under_way(&self) {
+        self.started.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Once `handler_limit` clients keep sending, a `/healthz` on a new
+/// connection must still be answered within one read budget plus a
+/// second: a request gets one budget however its bytes are spread, and a
+/// keep-alive connection lets its handler go after a response while every
+/// handler is busy. The clients send for up to 20 read budgets, so without
+/// either rule the probe would wait that long.
+fn assert_busy_clients_let_a_probe_through(client: fn(&Busy)) {
+    let engine = engine();
+    let config = four_handlers();
+    let read_timeout = Duration::from_millis(config.read_timeout_millis);
+    let limit = config.handler_limit();
+    let handle = start_with(&engine, config);
+    let bound = read_timeout + Duration::from_secs(1);
+    let (probed, started) = (AtomicBool::new(false), AtomicUsize::new(0));
+    let busy = Busy {
+        addr: handle.addr(),
+        pace: read_timeout / 2,
+        until: Instant::now() + read_timeout * 20,
+        probed: &probed,
+        started: &started,
+    };
+    let (status, waited) = std::thread::scope(|s| {
+        for _ in 0..limit {
+            s.spawn(|| client(&busy));
+        }
+        wait_until("every busy client under way", || {
+            started.load(Ordering::SeqCst) == limit
+        });
+        let sent = Instant::now();
+        let (status, _) = get(busy.addr, "/healthz");
+        let waited = sent.elapsed();
+        probed.store(true, Ordering::SeqCst);
+        (status, waited)
+    });
+    assert_eq!(status, 200);
+    assert!(
+        waited < bound,
+        "/healthz behind {limit} busy clients waited {waited:?}, over {bound:?}"
+    );
+    assert_no_hung_connections(&handle);
+    handle.shutdown();
+}
+
+#[test]
+fn a_trickling_request_holds_its_handler_for_one_read_budget() {
+    // One byte of a never-ending header line every `pace`, so no single
+    // read waits a whole read timeout, until the server cuts it off.
+    assert_busy_clients_let_a_probe_through(|busy| {
+        let mut stream = TcpStream::connect(busy.addr).unwrap();
+        let request = b"GET /healthz HTTP/1.1\r\nx-trickle: ".iter();
+        for (sent, byte) in request.chain(std::iter::repeat(&b'a')).enumerate() {
+            if !busy.going() || stream.write_all(&[*byte]).is_err() {
+                return;
+            }
+            if sent == 0 {
+                busy.under_way();
+            }
+            std::thread::sleep(busy.pace);
+        }
+    });
+}
+
+#[test]
+fn keep_alive_connections_let_their_handlers_go_when_every_handler_is_busy() {
+    // A whole request every `pace` on a keep-alive connection, opening a
+    // new one whenever the server closes it.
+    assert_busy_clients_let_a_probe_through(|busy| {
+        let mut first = true;
+        while busy.going() {
+            let stream = TcpStream::connect(busy.addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut reader = BufReader::new(&stream);
+            while busy.going() {
+                if (&stream)
+                    .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+                    .is_err()
+                {
+                    break;
+                }
+                let answer = read_response(&mut reader);
+                if std::mem::take(&mut first) {
+                    busy.under_way();
+                }
+                std::thread::sleep(busy.pace);
+                if answer != Some((200, false)) {
+                    break;
+                }
+            }
+        }
+    });
 }
 
 #[test]
