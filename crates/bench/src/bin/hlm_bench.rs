@@ -281,8 +281,8 @@ fn run_in_memory(scale: &ExpScale) -> InMemReport {
     );
     let rec = hlm_obs::global();
     let (hits, misses) = (
-        rec.counter("serve.cache_hit"),
-        rec.counter("serve.cache_miss"),
+        rec.counter(hlm_obs::names::SERVE_CACHE_HIT),
+        rec.counter(hlm_obs::names::SERVE_CACHE_MISS),
     );
     let hit_rate = json::finite_or(hits as f64 / (hits + misses) as f64, 0.0);
 

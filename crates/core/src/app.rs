@@ -12,6 +12,9 @@
 //! the misses through the store's one kernel, with the filter as its row
 //! predicate. [`SalesApplication::find_similar`] is a batch of one, and the
 //! whitespace entry points rank through the same path.
+//! [`SalesApplication::cached_similar`] and
+//! [`SalesApplication::cached_whitespace`] only replay what that path
+//! memoized, so a server can answer a hit without queueing it.
 
 use crate::cache::{CacheKey, FilterKey, ServingCache};
 use crate::error::CoreError;
@@ -286,13 +289,7 @@ impl SalesApplication {
         if let Some(row) = self.store.first_non_finite() {
             return Err(CoreError::NonFiniteRepresentation { row });
         }
-        let cached = |q: CompanyId| {
-            self.cache.as_ref().map(|(cache, generation)| {
-                let metric = self.store.metric();
-                let key = CacheKey::new(*generation, q.index(), k, metric, FilterKey::of(filter));
-                (cache, key)
-            })
-        };
+        let cached = |q: CompanyId| self.cache_slot(q, k, filter);
         // Every query is a hit or a miss, and every miss is scored below.
         let mut results: Vec<Vec<SimilarCompany>> = vec![Vec::new(); queries.len()];
         let mut misses: Vec<usize> = Vec::new();
@@ -355,6 +352,47 @@ impl SalesApplication {
                 .collect::<Vec<_>>()
         });
         Ok(parts.into_iter().flatten().collect())
+    }
+
+    /// The answer [`SalesApplication::find_similar`] would give, if the
+    /// attached cache holds it under this application's generation;
+    /// `None` otherwise. It never scores: a hit counts `serve.cache_hit`
+    /// and a miss counts nothing, so a caller that falls back to
+    /// [`SalesApplication::find_similar_batch`] counts the query once.
+    pub fn cached_similar(
+        &self,
+        query: CompanyId,
+        k: usize,
+        filter: &CompanyFilter,
+    ) -> Option<Vec<SimilarCompany>> {
+        let (cache, key) = self.cache_slot(query, k, filter)?;
+        cache.peek(&key)
+    }
+
+    /// [`SalesApplication::recommend_whitespace`] from a
+    /// [`SalesApplication::cached_similar`] hit; `None` on a miss.
+    pub fn cached_whitespace(
+        &self,
+        query: CompanyId,
+        k_similar: usize,
+        filter: &CompanyFilter,
+    ) -> Option<Vec<WhitespaceRecommendation>> {
+        let similar = self.cached_similar(query, k_similar, filter)?;
+        Some(self.whitespace_from_similar(query, &similar))
+    }
+
+    /// The attached cache and the key `query`'s answer at `k` under
+    /// `filter` is memoized by; `None` without a cache.
+    fn cache_slot(
+        &self,
+        query: CompanyId,
+        k: usize,
+        filter: &CompanyFilter,
+    ) -> Option<(&ServingCache, CacheKey)> {
+        let (cache, generation) = self.cache.as_ref()?;
+        let metric = self.store.metric();
+        let key = CacheKey::new(*generation, query.index(), k, metric, FilterKey::of(filter));
+        Some((cache, key))
     }
 }
 
@@ -599,6 +637,64 @@ mod tests {
             );
             assert_eq!(whitespace_bits(k), whitespace);
         }
+    }
+
+    #[test]
+    fn cached_lookups_replay_only_what_the_batch_path_memoized() {
+        let _counting = crate::cache::tests::counting();
+        hlm_obs::install(hlm_obs::Recorder::enabled());
+        let counts = || {
+            let rec = hlm_obs::global();
+            (
+                rec.counter(hlm_obs::names::SERVE_CACHE_HIT),
+                rec.counter(hlm_obs::names::SERVE_CACHE_MISS),
+            )
+        };
+        let cache = Arc::new(ServingCache::default());
+        let app = app().with_cache(Arc::clone(&cache));
+        let filter = CompanyFilter::default();
+        let query = CompanyId(4);
+        let whitespace_bits =
+            |recs: Vec<WhitespaceRecommendation>| -> Vec<(ProductId, u64, usize)> {
+                recs.into_iter()
+                    .map(|r| (r.product, r.score.to_bits(), r.owners_among_similar))
+                    .collect()
+            };
+
+        // A cold cache answers nothing and counts nothing.
+        assert_eq!(app.cached_similar(query, 6, &filter), None);
+        assert!(app.cached_whitespace(query, 6, &filter).is_none());
+        assert_eq!(counts(), (0, 0));
+
+        // After a scored answer, the lookup replays its bits and counts a
+        // hit; the whitespace it aggregates is the scored path's.
+        let scored = app.find_similar(query, 6, &filter).unwrap();
+        assert_eq!(counts(), (0, 1));
+        let replayed = app.cached_similar(query, 6, &filter).unwrap();
+        let bits = |s: &[SimilarCompany]| -> Vec<(CompanyId, u64)> {
+            s.iter().map(|s| (s.id, s.distance.to_bits())).collect()
+        };
+        assert_eq!(bits(&replayed), bits(&scored));
+        assert_eq!(counts(), (1, 1));
+        let whitespace = app.cached_whitespace(query, 6, &filter).unwrap();
+        assert_eq!(
+            whitespace_bits(whitespace),
+            whitespace_bits(app.recommend_whitespace(query, 6, &filter).unwrap())
+        );
+        // Another k or filter is another answer.
+        assert_eq!(app.cached_similar(query, 5, &filter), None);
+        let industry = app.corpus().company(query).industry;
+        let narrowed = CompanyFilter {
+            industry: Some(industry),
+            ..Default::default()
+        };
+        assert_eq!(app.cached_similar(query, 6, &narrowed), None);
+
+        // An invalidated cache holds nothing for this application.
+        cache.invalidate();
+        assert_eq!(app.cached_similar(query, 6, &filter), None);
+        assert!(app.cached_whitespace(query, 6, &filter).is_none());
+        hlm_obs::install(hlm_obs::Recorder::noop());
     }
 
     #[test]

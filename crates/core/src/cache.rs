@@ -29,6 +29,7 @@
 
 use crate::app::SimilarCompany;
 use crate::similarity::DistanceMetric;
+use hlm_obs::names;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
@@ -156,18 +157,22 @@ impl ServingCache {
 
     /// Looks up a memoized answer, counting the hit or miss.
     pub(crate) fn get(&self, key: &CacheKey) -> Option<Vec<SimilarCompany>> {
-        let hit = self.lock().map.get(key).cloned();
-        let rec = hlm_obs::global();
-        match hit {
-            Some(v) => {
-                rec.add("serve.cache_hit", 1);
-                Some(v)
-            }
-            None => {
-                rec.add("serve.cache_miss", 1);
-                None
-            }
+        let hit = self.peek(key);
+        if hit.is_none() {
+            hlm_obs::global().add(names::SERVE_CACHE_MISS, 1);
         }
+        hit
+    }
+
+    /// Looks up a memoized answer, counting only a hit: a miss is left to
+    /// the [`ServingCache::get`] of the path that then scores the query, so
+    /// a query counts once either way.
+    pub(crate) fn peek(&self, key: &CacheKey) -> Option<Vec<SimilarCompany>> {
+        let hit = self.lock().map.get(key).cloned();
+        if hit.is_some() {
+            hlm_obs::global().add(names::SERVE_CACHE_HIT, 1);
+        }
+        hit
     }
 
     /// Memoizes an answer, evicting the oldest entries until the held
@@ -205,9 +210,19 @@ impl ServingCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hlm_corpus::CompanyId;
+
+    /// Serializes the unit tests that move `serve.cache_*`. The recorder is
+    /// process-wide, so a test that reads those counters must not see
+    /// another test's lookups.
+    pub(crate) fn counting() -> std::sync::MutexGuard<'static, ()> {
+        static COUNTING: Mutex<()> = Mutex::new(());
+        COUNTING
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     fn entry(id: u32, d: f64) -> Vec<SimilarCompany> {
         vec![SimilarCompany {
@@ -228,6 +243,7 @@ mod tests {
 
     #[test]
     fn stores_and_replays_by_full_key() {
+        let _counting = counting();
         let cache = ServingCache::new(8);
         cache.insert(key(0, 1, 5), entry(9, 0.25));
         assert_eq!(cache.get(&key(0, 1, 5)), Some(entry(9, 0.25)));
@@ -239,6 +255,7 @@ mod tests {
 
     #[test]
     fn invalidate_bumps_generation_and_clears() {
+        let _counting = counting();
         let cache = ServingCache::new(8);
         cache.insert(key(0, 1, 5), entry(9, 0.25));
         assert_eq!(cache.generation(), 0);
@@ -250,6 +267,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_oldest_first() {
+        let _counting = counting();
         let cache = ServingCache::new(2);
         cache.insert(key(0, 0, 1), entry(1, 0.1));
         cache.insert(key(0, 1, 1), entry(2, 0.2));
@@ -266,6 +284,7 @@ mod tests {
 
     #[test]
     fn capacity_counts_neighbours_across_answers() {
+        let _counting = counting();
         let answer = |n: u32| -> Vec<SimilarCompany> {
             (0..n)
                 .map(|i| SimilarCompany {

@@ -411,6 +411,15 @@ pub mod names {
     /// Counter: rejected hot-swap candidates — the canary probe failed and
     /// the server kept serving the previous model.
     pub const SERVE_ROLLBACK: &str = "serve.rollback";
+    /// Counter: similar-company lookups the serving cache answered. A
+    /// served similar or whitespace request counts one hit or one miss.
+    pub const SERVE_CACHE_HIT: &str = "serve.cache_hit";
+    /// Counter: similar-company lookups the serving cache could not
+    /// answer, so the query was scored.
+    pub const SERVE_CACHE_MISS: &str = "serve.cache_miss";
+    /// Histogram: seconds from a query's admission to its `200` answer,
+    /// whether a handler answered it from the cache or a batch worker did.
+    pub const SERVE_E2E_SECONDS: &str = "serve.e2e_seconds";
     /// Histogram: seconds spent building a checkpoint payload (the
     /// trainer's state encode), recorded per save beside
     /// `resilience.checkpoint_seconds`, which times only the sink write.

@@ -5,11 +5,17 @@
 //! [`Engine`] facade into a long-running HTTP/1.1 process whose headline
 //! feature is robustness, not routing:
 //!
-//! - **Admission control** — every query must win a slot in a bounded
-//!   [`queue::AdmissionQueue`] before any model work happens; when it is
-//!   full the request is shed with `503` + `Retry-After` instead of
-//!   queueing unboundedly, so accepted-request latency stays bounded
-//!   under overload.
+//! - **Admission control** — every query the serving cache cannot answer
+//!   must win a slot in a bounded [`queue::AdmissionQueue`] before any
+//!   model work happens; when it is full the request is shed with `503` +
+//!   `Retry-After` instead of queueing unboundedly, so accepted-request
+//!   latency stays bounded under overload.
+//! - **Cache hits on the handler** — a similar or whitespace query whose
+//!   ranking the bundle's [`hlm_core::ServingCache`] holds is answered by
+//!   the handler that parsed it, in the bytes a worker would write, without
+//!   a queue slot or a worker. A hit is never shed or expired: answering it
+//!   costs less than refusing it. Recommendations always queue, because
+//!   they run the primary model, which can be slow.
 //! - **Deadlines** — each request carries a budget (`deadline_ms` query
 //!   parameter, defaulting to [`ServerConfig::default_deadline_millis`]).
 //!   Jobs that expire in the queue are answered `504` without touching the
@@ -243,7 +249,8 @@ fn canary_probe(bundle: &ModelBundle) -> Result<(), String> {
     Ok(())
 }
 
-/// One admitted query, parked in the admission queue.
+/// One parsed query: a cache hit answered by its handler, or a job parked
+/// in the admission queue.
 enum Query {
     Similar { company: u32, k: usize },
     Whitespace { company: u32, k: usize },
@@ -766,8 +773,9 @@ fn route(shared: &Shared, req: &Request) -> Response {
     }
 }
 
-/// Parse, validate, admit, and wait for the worker's answer. Every exit is
-/// an explicit response — validation failures never consume a queue slot.
+/// Parse, validate, answer a cache hit, or admit and wait for the worker's
+/// answer. Every exit is an explicit response — validation failures and
+/// cache hits never consume a queue slot.
 fn admit_and_wait(shared: &Shared, req: &Request) -> Response {
     if shared.draining.load(Ordering::SeqCst) {
         return Response::json(503, err_body("draining"));
@@ -776,18 +784,25 @@ fn admit_and_wait(shared: &Shared, req: &Request) -> Response {
         Ok(q) => q,
         Err(resp) => return *resp,
     };
+    let admitted = Instant::now();
+    // A hit costs less to answer than the 503 or 504 that would refuse it,
+    // so it is never shed or expired.
+    if let Some(resp) = answer_from_cache(&read_bundle(shared), &query) {
+        hlm_obs::global().observe(names::SERVE_E2E_SECONDS, admitted.elapsed().as_secs_f64());
+        return resp;
+    }
     let deadline_ms = req
         .param("deadline_ms")
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(shared.config.default_deadline_millis)
         .min(MAX_DEADLINE_MILLIS);
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
+    let deadline = admitted + Duration::from_millis(deadline_ms);
 
     let (tx, rx) = mpsc::channel();
     let job = Job {
         query,
         deadline,
-        enqueued: Instant::now(),
+        enqueued: admitted,
         resp: tx,
     };
     match shared.queue.try_push(job) {
@@ -808,6 +823,27 @@ fn admit_and_wait(shared: &Shared, req: &Request) -> Response {
         // Worker lost (panic) or wildly late: the job sender is parked in
         // the queue; answering 500 here keeps the connection sane.
         Err(_) => Response::json(500, err_body("worker did not answer")),
+    }
+}
+
+/// The answer to a similar or whitespace query whose ranking `bundle`'s
+/// serving cache holds, under the generation the bundle captured: the
+/// bytes a worker would write, with no job, queue slot or worker. `None`
+/// on a miss, and always for a recommend, which runs the primary model.
+fn answer_from_cache(bundle: &ModelBundle, query: &Query) -> Option<Response> {
+    let filter = CompanyFilter::default();
+    match *query {
+        Query::Similar { company, k } => {
+            let results = bundle.app.cached_similar(CompanyId(company), k, &filter)?;
+            Some(similar_response(bundle, company, k, &results))
+        }
+        Query::Whitespace { company, k } => {
+            let results = bundle
+                .app
+                .cached_whitespace(CompanyId(company), k, &filter)?;
+            Some(whitespace_response(bundle, company, k, &results))
+        }
+        Query::Recommend { .. } => None,
     }
 }
 
@@ -957,7 +993,10 @@ fn process_batch(bundle: &ModelBundle, jobs: Vec<Job>) {
     for (job, resp) in jobs.into_iter().zip(responses) {
         let resp = resp.unwrap_or_else(|| Response::json(500, err_body("unanswered job")));
         if resp.status == 200 {
-            hlm_obs::global().observe("serve.e2e_seconds", job.enqueued.elapsed().as_secs_f64());
+            hlm_obs::global().observe(
+                names::SERVE_E2E_SECONDS,
+                job.enqueued.elapsed().as_secs_f64(),
+            );
         }
         // The connection may have given up (its own timeout) — that is its
         // right; dropping the send result cannot poison anything.

@@ -27,6 +27,7 @@ use hlm_serve::{
 };
 
 use hlm_core::DistanceMetric;
+use hlm_obs::json::Num;
 
 fn engine() -> Arc<Engine> {
     Arc::new(Engine::new(hlm_datagen::generate(
@@ -193,7 +194,54 @@ fn batched_answers_match_direct_application_calls() {
         });
         at += pos;
     }
+    // A worker scored that request, so the cache holds its answer and the
+    // handler answers the repeat: the same bytes, which carry the library's
+    // answer bit for bit.
+    let similar: Vec<String> = direct
+        .iter()
+        .map(|s| format!("{{\"id\":{},\"distance\":{}}}", s.id.0, Num(s.distance)))
+        .collect();
+    let (status, again) = get(handle.addr(), "/v1/similar?company=7&k=4");
+    assert_eq!(status, 200, "{again}");
+    assert_eq!(body_of(&again), body);
+    assert!(body.ends_with(&results_json(&similar)), "{body}");
+
+    // Emptied, the cache leaves the first whitespace request to a worker
+    // and the repeat to the handler.
+    engine.serving_cache().invalidate();
+    let whitespace: Vec<String> = reference
+        .app
+        .recommend_whitespace(
+            hlm_corpus::CompanyId(7),
+            4,
+            &hlm_core::CompanyFilter::default(),
+        )
+        .unwrap()
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"product\":{},\"score\":{},\"owners\":{}}}",
+                r.product.0,
+                Num(r.score),
+                r.owners_among_similar
+            )
+        })
+        .collect();
+    let (status, scored) = get(handle.addr(), "/v1/whitespace?company=7&k=4");
+    assert_eq!(status, 200, "{scored}");
+    let (status, cached) = get(handle.addr(), "/v1/whitespace?company=7&k=4");
+    assert_eq!(status, 200, "{cached}");
+    assert_eq!(body_of(&cached), body_of(&scored));
+    assert!(
+        body_of(&scored).ends_with(&results_json(&whitespace)),
+        "{scored}"
+    );
     handle.shutdown();
+}
+
+/// The tail of a query response body: its results array, then the close.
+fn results_json(results: &[String]) -> String {
+    format!("\"results\":[{}]}}", results.join(","))
 }
 
 /// A primary the tests control: optionally gated on a flag (deterministic
@@ -411,6 +459,61 @@ fn overload_sheds_with_503_and_retry_after_instead_of_queueing() {
 }
 
 #[test]
+fn cached_answers_skip_the_full_queue_while_misses_and_recommends_are_shed() {
+    let engine = engine();
+    let config = ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        batch_max: 1,
+        default_deadline_millis: 30_000,
+        ..ServerConfig::default()
+    };
+    let (b, hold, started) = gated_bundle(&engine);
+    let server = Server::bind(config, Arc::clone(&engine), b, None).unwrap();
+    let handle = server.start().unwrap();
+    let addr = handle.addr();
+
+    // The worker scores company 5's ranking while it is free; the cache
+    // then holds it for both endpoints.
+    let cached = ["/v1/similar?company=5&k=4", "/v1/whitespace?company=5&k=4"];
+    let before: Vec<String> = cached
+        .iter()
+        .map(|target| {
+            let (status, text) = get(addr, target);
+            assert_eq!(status, 200, "{text}");
+            body_of(&text).to_string()
+        })
+        .collect();
+
+    // r1 holds the only worker and r2 the only queue slot, as in the
+    // overload drill.
+    let r1 = std::thread::spawn(move || get(addr, "/v1/recommend?history=0"));
+    wait_until("r1 to reach the primary", || {
+        started.load(Ordering::SeqCst) >= 1
+    });
+    let r2 = std::thread::spawn(move || get(addr, "/v1/recommend?history=1"));
+    wait_until("r2 to be admitted", || handle.queue_len() == 1);
+
+    // Cached answers come from the handler, unchanged, past the full queue.
+    for (target, body) in cached.iter().zip(&before) {
+        let (status, text) = get(addr, target);
+        assert_eq!(status, 200, "{target}: {text}");
+        assert_eq!(body_of(&text), body, "{target}");
+    }
+    // A miss and a recommend still need the queue, so they are shed.
+    for target in ["/v1/similar?company=6&k=4", "/v1/recommend?history=2"] {
+        let (status, text) = get(addr, target);
+        assert_eq!(status, 503, "{target}: {text}");
+        assert!(text.to_lowercase().contains("retry-after: 1"), "{text}");
+    }
+
+    hold.store(false, Ordering::SeqCst);
+    assert_eq!(r1.join().unwrap().0, 200);
+    assert_eq!(r2.join().unwrap().0, 200);
+    handle.shutdown();
+}
+
+#[test]
 fn queue_expired_requests_get_504_and_degraded_fallback_tags_the_response() {
     let engine = engine();
     let config = ServerConfig {
@@ -464,6 +567,17 @@ fn hot_swap_installs_canaried_bundle_and_bumps_generation() {
     let addr = handle.addr();
     let before = handle.generation();
 
+    // Asked twice before the swap, the key's answer is cached under the
+    // serving generation and the handler answers the repeat.
+    for _ in 0..2 {
+        let (status, text) = get(addr, "/v1/similar?company=1&k=3");
+        assert_eq!(status, 200, "{text}");
+        assert!(
+            body_of(&text).contains(&format!("\"generation\":{before}")),
+            "{text}"
+        );
+    }
+
     let (status, text) = request(
         addr,
         "POST /admin/swap HTTP/1.1\r\nconnection: close\r\n\r\n",
@@ -475,13 +589,18 @@ fn hot_swap_installs_canaried_bundle_and_bumps_generation() {
     );
     assert!(handle.generation() > before);
 
-    // The new generation serves queries and stamps responses with it.
+    // The new generation serves queries and stamps responses with it: the
+    // pre-swap answer the cache held is never served.
     let (status, text) = get(addr, "/v1/similar?company=1&k=3");
     assert_eq!(status, 200);
     assert!(
         body_of(&text).contains(&format!("\"generation\":{}", handle.generation())),
         "{text}"
     );
+    // The repeat is the handler's, from the new generation's cache.
+    let (status, again) = get(addr, "/v1/similar?company=1&k=3");
+    assert_eq!(status, 200, "{again}");
+    assert_eq!(body_of(&again), body_of(&text));
     handle.shutdown();
 }
 
